@@ -5,14 +5,14 @@
 Run from anywhere inside a source checkout: the program is imported from
 the checkout's ``src`` directory.  With ``--trace 0`` the run is:
 
-1. one untimed warm-up round; the process's peak resident set size after
+1. one cold set-up: a fresh process that imports outstream and builds the
+   workload's partitioner (`setup_probe.py`), timed from its start to its
+   exit, is ``setup_s``;
+2. one untimed warm-up round; the process's peak resident set size after
    it is ``peak_mem_mb``;
-2. timed rounds, each one whole `run_topology` call, for ``--seconds``
+3. timed rounds, each one whole `run_topology` call, for ``--seconds``
    seconds and at least ten rounds; ``throughput_obj_s`` is the stream's
-   object count over the fastest round's wall time;
-3. between timed rounds, at even intervals over ``--seconds``, eight fresh
-   processes that each import outstream and build the workload's
-   partitioner (`setup_probe.py`); ``setup_s`` is the fastest of the eight.
+   object count over the fastest round's wall time.
 
 With ``--trace 1`` the rounds run under `layers.Tracer` instead and the
 per-layer metrics of the fastest traced round after the first are printed;
@@ -45,7 +45,6 @@ from workloads import K, PARTITIONS, WORKLOADS, make_inputs  # noqa: E402
 END_TO_END_UNITS = {"throughput_obj_s": "obj/s", "setup_s": "s", "peak_mem_mb": "MB"}
 
 MIN_ROUNDS = 10
-SETUP_PROBES = 8
 MIN_TRACED_ROUNDS = 3
 # Stop starting rounds after this long, whatever --seconds says.
 HARD_STOP_S = 150.0
@@ -86,6 +85,7 @@ def make_checker(wl, source) -> Checker:
 
 
 def timed_run(outstream, name, seed, seconds, wl, source, topo):
+    setup_s = setup_probe(name, seed)
     warm = outstream.run_topology(source, topo)
     # Read before the reference is computed, whose temporaries would
     # otherwise set the peak.  The whole process is counted, not the growth
@@ -97,7 +97,6 @@ def timed_run(outstream, name, seed, seconds, wl, source, topo):
 
     rounds: list = []
     inner: list = []     # the program's own RunMetrics.throughput_obj_s per round
-    setups: list = []
     started = time.monotonic()
     while ((len(rounds) < MIN_ROUNDS or time.monotonic() - started < seconds)
            and time.monotonic() - started < HARD_STOP_S):
@@ -106,19 +105,14 @@ def timed_run(outstream, name, seed, seconds, wl, source, topo):
         rounds.append(time.perf_counter() - t0)
         inner.append(result.metrics.throughput_obj_s)
         checker.check_round(result.reports)
-        if (len(setups) < SETUP_PROBES
-                and time.monotonic() - started >= len(setups) * seconds / SETUP_PROBES):
-            setups.append(setup_probe(name, seed))
-    while len(setups) < SETUP_PROBES:     # rounds ended before the last probe was due
-        setups.append(setup_probe(name, seed))
     log("round s: " + " ".join(f"{t:.4f}" for t in rounds))
-    log("setup s: " + " ".join(f"{t:.4f}" for t in setups))
+    log(f"setup s: {setup_s:.4f}")
     fastest = rounds.index(min(rounds))
     log(f"fastest round: {source.n / rounds[fastest]:.1f} obj/s timed around run_topology, "
         f"{inner[fastest]:.1f} obj/s by RunMetrics.throughput_obj_s")
     return checker, {
         "throughput_obj_s": source.n / min(rounds),
-        "setup_s": min(setups),
+        "setup_s": setup_s,
         "peak_mem_mb": peak_mem_mb,
     }
 
