@@ -9,8 +9,10 @@ here: ``count_after`` counts neighbors from the same or a later slide,
 Floating-point policy: neighbor membership is always decided by comparing
 squared euclidean distances against ``R * R`` (or plain sums for the
 manhattan metric), with summation running left to right over coordinates.
-The brute-force oracle and every index use the same kernels, so engine and
-oracle agree bit for bit.  No epsilons anywhere in the membership test.
+The scalar kernels (`sqdist`, `manhattan`) and the vectorized one
+(`column_keys`, column sums, left to right, at any d) add the same terms in
+the same order, as does the brute-force oracle, so engine and oracle agree
+bit for bit.  No epsilons anywhere in the membership test.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ def distance(a, b, metric: str = "euclidean") -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def key_limit(radius: float, metric: str = "euclidean") -> float:
+    """The largest comparison key (see `column_keys`) inside the closed ball."""
+    return radius * radius if metric == "euclidean" else radius
+
+
 def within(a, b, radius: float, metric: str = "euclidean") -> bool:
     """Closed-ball neighbor predicate, bit-consistent with `within_mask`."""
     if metric == "euclidean":
@@ -71,18 +78,44 @@ def within(a, b, radius: float, metric: str = "euclidean") -> bool:
     return manhattan(a, b) <= radius
 
 
+def column_keys(cols: np.ndarray, center, metric: str = "euclidean") -> np.ndarray:
+    """Comparison key of every point of ``cols`` (dims x n) to ``center``.
+
+    The key is the squared euclidean distance, or the manhattan distance,
+    accumulated one dimension at a time, left to right: column sums at any
+    d, the same terms in the same order as `sqdist` and `manhattan`, so
+    ``key <= key_limit(radius)`` is bit-identical to `within`.
+
+    Raises:
+        ValueError: if ``center`` and ``cols`` differ in dimensionality.
+    """
+    dims = len(center)
+    if dims != len(cols):
+        raise ValueError(f"dimensionality mismatch: {dims} vs {len(cols)}")
+    euclidean = metric == "euclidean"
+    acc = cols[0] - center[0]
+    if euclidean:
+        acc *= acc
+    else:
+        np.abs(acc, out=acc)
+    for j in range(1, dims):
+        t = cols[j] - center[j]
+        if euclidean:
+            t *= t
+        else:
+            np.abs(t, out=t)
+        acc += t
+    return acc
+
+
 def within_mask(matrix: np.ndarray, center, radius: float,
                 metric: str = "euclidean") -> np.ndarray:
     """Vectorized closed-ball test of every row of ``matrix`` against ``center``.
 
-    Row-wise sums run left to right for the small dimensionalities used
-    here, so the result matches `within` applied per row.
+    Column sums, left to right, at any d (`column_keys`), so the result
+    matches `within` applied per row.
     """
-    c = np.asarray(center, dtype=np.float64)
-    diff = matrix - c
-    if metric == "euclidean":
-        return (diff * diff).sum(axis=1) <= radius * radius
-    return np.abs(diff).sum(axis=1) <= radius
+    return column_keys(matrix.T, center, metric) <= key_limit(radius, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +140,6 @@ class StreamObject:
     nn_before: list = field(default_factory=list)
     evil: dict | None = None      # per-slide neighbor counts, time-slicing only
     mc_id: int | None = None      # micro-cluster membership, pMCOD only
-
-    def copy_for(self, partition: int, flag: int) -> "StreamObject":
-        """Fresh delivery copy with blank metadata (per-partition ownership)."""
-        return StreamObject(id=self.id, value=self.value, t=self.t,
-                            flag=flag, partition=partition)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ slop so floating-point rounding of triangle-inequality arithmetic can
 only widen a search, never drop a qualifying point; membership itself is
 decided by the exact shared predicate from `outstream.core`.
 
+The linear scan stores coordinates column-major and answers every query
+with `outstream.core.column_keys`: column sums, left to right, at any d,
+so its keys equal `sqdist` and `manhattan` and its decisions equal
+`within`, bit for bit.
+
 The trees store coordinates as tuples of Python floats and convert query
 centres the same way: `float` of a ``numpy.float64`` is exact, so this
 changes no distance or decision, it only keeps the pure-Python kernels off
@@ -17,23 +22,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import distance, within, within_mask
+from .core import column_keys, distance, key_limit, within
 
 # Pruning tolerance (conservative side only, see module docstring).
 _SLOP = 1e-9
 
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+
 
 class LinearScanIndex:
-    """Flat store over a growing numpy buffer with vectorized range queries.
+    """Flat store over a growing column-major buffer with vectorized range queries.
 
-    Also used as the building block for window pools and micro-cluster
-    member sets, so entries may carry an arbitrary payload.
+    Coordinates are kept as ``dims x capacity`` so that every query is one
+    `column_keys` pass, one dimension at a time.  Also used as the building
+    block for window pools and micro-cluster member sets, so entries may
+    carry an arbitrary payload; `query_payloads` and `query_comparable`
+    return the id of an entry stored without one.
     """
 
     def __init__(self, dims: int, metric: str = "euclidean"):
         self.dims = dims
         self.metric = metric
-        self._buf = np.empty((32, dims), dtype=np.float64)
+        self._cols = np.empty((dims, 32), dtype=np.float64)
         self._alive = np.zeros(32, dtype=bool)
         self._ids: list = []
         self._payloads: list = []
@@ -50,13 +60,13 @@ class LinearScanIndex:
     def add(self, oid, value, payload=None) -> None:
         if oid in self._slot_of:
             raise ValueError(f"id {oid!r} already present")
-        if self._n == len(self._buf):
+        if self._n == self._cols.shape[1]:
             self._grow()
         slot = self._n
-        self._buf[slot] = value
+        self._cols[:, slot] = value
         self._alive[slot] = True
         self._ids.append(oid)
-        self._payloads.append(payload)
+        self._payloads.append(oid if payload is None else payload)
         self._slot_of[oid] = slot
         self._n += 1
 
@@ -70,23 +80,20 @@ class LinearScanIndex:
         if self._dead > 64 and self._dead * 2 > self._n:
             self._compact()
 
-    def value_of(self, oid):
-        return self._buf[self._slot_of[oid]]
-
     def ids(self) -> list:
         return [self._ids[s] for s in range(self._n) if self._alive[s]]
 
     def _grow(self):
-        cap = max(64, 2 * len(self._buf))
-        buf = np.empty((cap, self.dims), dtype=np.float64)
-        buf[: self._n] = self._buf[: self._n]
+        cap = max(64, 2 * self._cols.shape[1])
+        cols = np.empty((self.dims, cap), dtype=np.float64)
+        cols[:, : self._n] = self._cols[:, : self._n]
         alive = np.zeros(cap, dtype=bool)
         alive[: self._n] = self._alive[: self._n]
-        self._buf, self._alive = buf, alive
+        self._cols, self._alive = cols, alive
 
     def _compact(self):
         keep = [s for s in range(self._n) if self._alive[s]]
-        self._buf[: len(keep)] = self._buf[keep]
+        self._cols[:, : len(keep)] = self._cols[:, keep]
         self._ids = [self._ids[s] for s in keep]
         self._payloads = [self._payloads[s] for s in keep]
         self._n = len(keep)
@@ -95,40 +102,39 @@ class LinearScanIndex:
         self._dead = 0
         self._slot_of = {oid: s for s, oid in enumerate(self._ids)}
 
-    def _hit_slots(self, center, radius) -> np.ndarray:
-        if self._n == 0:
-            return np.empty(0, dtype=np.intp)
-        mask = within_mask(self._buf[: self._n], center, radius, self.metric)
+    def _hits(self, center, radius) -> tuple:
+        """Live slots within ``radius`` of ``center`` (ascending), and all keys."""
+        n = self._n
+        if n == 0:
+            return _NO_SLOTS, None
+        keys = column_keys(self._cols[:, :n], center, self.metric)
+        mask = keys <= key_limit(radius, self.metric)
         if self._dead:
-            mask &= self._alive[: self._n]
-        return np.flatnonzero(mask)
+            mask &= self._alive[:n]
+        return mask.nonzero()[0], keys
 
     def query_ids(self, center, radius) -> list:
         """Ids of stored points within ``radius`` of ``center`` (insertion order)."""
-        return [self._ids[s] for s in self._hit_slots(center, radius)]
+        ids = self._ids
+        return [ids[s] for s in self._hits(center, radius)[0].tolist()]
 
     def query_payloads(self, center, radius) -> list:
-        return [self._payloads[s] for s in self._hit_slots(center, radius)]
+        payloads = self._payloads
+        return [payloads[s] for s in self._hits(center, radius)[0].tolist()]
 
     def query_comparable(self, center, radius) -> list:
-        """(id, comparison key) pairs for hits; the key orders by distance.
+        """(payload, comparison key) pairs for hits, in insertion order.
 
         The key is the squared distance for the euclidean metric and the
-        plain distance for manhattan; only its ordering is meaningful.
+        plain distance for manhattan, as a Python float; it is the exact
+        `column_keys` value, so comparing it with `key_limit` of a smaller
+        radius decides membership bit for bit as `within` does.
         """
-        if self._n == 0:
+        slots, keys = self._hits(center, radius)
+        if len(slots) == 0:
             return []
-        c = np.asarray(center, dtype=np.float64)
-        diff = self._buf[: self._n] - c
-        if self.metric == "euclidean":
-            d = (diff * diff).sum(axis=1)
-            mask = d <= radius * radius
-        else:
-            d = np.abs(diff).sum(axis=1)
-            mask = d <= radius
-        if self._dead:
-            mask &= self._alive[: self._n]
-        return [(self._ids[s], d[s]) for s in np.flatnonzero(mask)]
+        payloads = self._payloads
+        return list(zip([payloads[s] for s in slots.tolist()], keys[slots].tolist()))
 
 
 # ---------------------------------------------------------------------------

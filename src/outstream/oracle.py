@@ -3,8 +3,8 @@
 The oracle recomputes each window from the raw source, independently of
 any processor state, using the same closed-ball predicate and the same
 floating-point kernels as the engine (squared euclidean terms accumulated
-dimension by dimension, which is bitwise identical to the row-wise sums
-the engine uses), so agreement is exact rather than approximate.
+dimension by dimension, left to right, as `outstream.core.column_keys`
+does), so agreement is exact rather than approximate.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 
-from ..core import (StreamObject, WindowConfig, is_outlier, manhattan,
-                    prune_nn_before, sqdist, trim_nn_before, within)
+from ..core import (StreamObject, WindowConfig, is_outlier, key_limit,
+                    manhattan, prune_nn_before, sqdist, trim_nn_before,
+                    within)
 from ..indexes import LinearScanIndex, MTree
 from .common import PartitionOutput, SlideBatch
 
@@ -145,35 +146,39 @@ class MicroClusterProcessor:
 
     # -- backend query helpers ------------------------------------------------
 
+    def _key(self, a, b) -> float:
+        return sqdist(a, b) if self.cfg.metric == "euclidean" else manhattan(a, b)
+
     def _centers_within(self, value, radius) -> list:
         """(cid, comparison key) for clusters whose center is within radius."""
         self.counters["range_queries"] += 1
         if isinstance(self.center_index, LinearScanIndex):
             return self.center_index.query_comparable(value, radius)
-        out = []
-        for cid in self.center_index.query_ids(value, radius):
-            center = self.clusters[cid].center
-            key = (sqdist(value, center) if self.cfg.metric == "euclidean"
-                   else manhattan(value, center))
-            out.append((cid, key))
-        return out
+        return [(cid, self._key(value, self.clusters[cid].center))
+                for cid in self.center_index.query_ids(value, radius)]
 
-    def _pool_within(self, value, radius) -> list:
+    def _pool_within(self, value, radius, keyed: bool = False) -> list:
+        """Pool points within radius; (point, comparison key) pairs if ``keyed``."""
         self.counters["range_queries"] += 1
-        if self.window_tree is not None:
-            return [o for i in self.window_tree.query_ids(value, radius)
-                    if (o := self.objs[i]).mc_id is None]
         if isinstance(self.pool_index, LinearScanIndex):
+            if keyed:
+                return self.pool_index.query_comparable(value, radius)
             return self.pool_index.query_payloads(value, radius)
-        return [self.pool[i] for i in self.pool_index.query_ids(value, radius)]
+        if self.window_tree is not None:
+            hits = [o for i in self.window_tree.query_ids(value, radius)
+                    if (o := self.objs[i]).mc_id is None]
+        else:
+            hits = [self.pool[i] for i in self.pool_index.query_ids(value, radius)]
+        return [(o, self._key(value, o.value)) for o in hits] if keyed else hits
 
-    def _members_within(self, value, radius) -> list:
+    def _members_within(self, value, radius, near) -> list:
+        """Cluster members within radius; ``near`` lists every cluster whose
+        center lies within ``radius + R/2`` (padded) of ``value``."""
         if self.window_tree is not None:
             return [o for i in self.window_tree.query_ids(value, radius)
                     if (o := self.objs[i]).mc_id is not None]
-        half = self.cfg.R / 2
         out = []
-        for cid, _ in self._centers_within(value, radius + half + _PAD):
+        for cid, _ in near:
             out.extend(self.clusters[cid].members.query_payloads(value, radius))
         return out
 
@@ -212,58 +217,64 @@ class MicroClusterProcessor:
 
     # -- the arrival / re-processing pipeline ----------------------------------
 
-    def _place(self, o: StreamObject, touched: set, update_neighbors: bool) -> bool:
+    def _place(self, o: StreamObject, touched: set | None,
+               update_neighbors: bool) -> bool:
         """Route one point through the cluster/pool pipeline.
 
         Returns True when the point ends up in the pool.  With
         ``update_neighbors`` unset (dissolved members re-entering) the
         point's own metadata is recomputed but no other object's counters
-        move: its earlier arrival already counted it everywhere.
+        move: its earlier arrival already counted it everywhere.  Ids of
+        the pool points whose counters moved go to ``touched`` unless it
+        is None.
+
+        One center query at ``R + R/2`` (padded) serves both the join
+        test, through its keys within R/2, and the member search.  The
+        pool query's keys decide the R/2 neighborhood for cluster
+        formation; (a-b)**2 == (b-a)**2 in IEEE arithmetic, so this equals
+        `within` on every pair.
         """
         cfg = self.cfg
         half = cfg.R / 2
-        cand = self._centers_within(o.value, half)
+        half_key = key_limit(half, cfg.metric)
+        near = self._centers_within(o.value, cfg.R + half + _PAD)
+        cand = [e for e in near if e[1] <= half_key]
         if cand:
             best = min(cand, key=lambda e: (e[1], e[0]))
             if update_neighbors:
-                for r in self._pool_within(o.value, cfg.R):
-                    if r is not o:
-                        r.count_after += 1
-                        touched.add(r.id)
+                self._count_arrival(self._pool_within(o.value, cfg.R), touched)
             self._join(best[0], o)
             return False
 
-        pool_hits = self._pool_within(o.value, cfg.R)
-        member_hits = self._members_within(o.value, cfg.R)
+        pool_hits = self._pool_within(o.value, cfg.R, keyed=True)
+        others = [c for c, _ in pool_hits if c is not o]
+        if update_neighbors:
+            self._count_arrival(others, touched)
         own_slide_start = (o.t // cfg.S) * cfg.S
-        same = 0
-        before = []
-        for c in pool_hits:
-            if c is o:
-                continue
-            if c.t >= own_slide_start:
-                same += 1
-            else:
-                before.append(c.t)
-            if update_neighbors:
-                c.count_after += 1
-                touched.add(c.id)
-        for c in member_hits:
-            if c.t >= own_slide_start:
-                same += 1
-            else:
-                before.append(c.t)
-        o.count_after = same
+        ts = [c.t for c in others]
+        ts += [c.t for c in self._members_within(o.value, cfg.R, near)]
+        before = [t for t in ts if t < own_slide_start]
+        o.count_after = len(ts) - len(before)
         o.nn_before = trim_nn_before(before, cfg.k)
 
-        close = [r for r in pool_hits
-                 if r is not o and within(r.value, o.value, half, cfg.metric)]
+        close = [c for c, key in pool_hits if key <= half_key and c is not o]
         if len(close) >= cfg.k:
             self._form_cluster(o, close)
             return False
         if o.id not in self.pool:
             self._pool_add(o)
         return True
+
+    @staticmethod
+    def _count_arrival(pool_hits: list, touched: set | None) -> None:
+        """Count an arrival as a succeeding neighbor of each of its pool hits.
+
+        A fresh arrival is never in the pool itself, so every hit counts.
+        """
+        for c in pool_hits:
+            c.count_after += 1
+        if touched is not None:
+            touched.update(c.id for c in pool_hits)
 
     # -- slide step --------------------------------------------------------------
 
@@ -303,7 +314,7 @@ class MicroClusterProcessor:
                 dissolved.append(o)
         dissolved.sort(key=lambda o: (o.t, o.id))
 
-        touched: set = set()
+        touched = set() if self.equeue is not None else None
         fresh_pool: list = []
         for o in batch.arrivals:
             in_pool = self._place(o, touched, update_neighbors=True)

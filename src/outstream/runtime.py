@@ -212,7 +212,7 @@ def stream_handler(source: StreamSource, topo: TopologyConfig, n_slides: int):
         if j >= n_slides:
             break
         oid = int(source.ids[i])
-        value = tuple(source.values[i])
+        value = tuple(source.values[i].tolist())
         decision = route(spec, oid, value, cfg.partitions)
         arrivals[j] += 1
         delivered[j] += decision.copies

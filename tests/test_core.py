@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from outstream import (StreamObject, WindowConfig, distance, is_outlier,
                        is_safe_inlier, prune_nn_before, trim_nn_before, within)
-from outstream.core import sqdist, within_mask
+from outstream.core import column_keys, manhattan, sqdist, within_mask
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -67,6 +69,40 @@ class TestDistance:
             mask = within_mask(pts, center, 1.3, metric)
             for i in range(len(pts)):
                 assert mask[i] == within(tuple(pts[i]), center, 1.3, metric)
+
+
+class TestColumnKernel:
+    """`column_keys` sums one dimension at a time, left to right, at any d."""
+
+    @pytest.mark.parametrize("dims", range(1, 11))
+    def test_keys_equal_scalar_kernels_exactly(self, dims):
+        rng = np.random.default_rng(100 + dims)
+        pts = rng.normal(0, 3, size=(400, dims))
+        center = tuple(rng.normal(0, 3, size=dims).tolist())
+        sq = column_keys(pts.T, center, "euclidean")
+        mh = column_keys(pts.T, center, "manhattan")
+        for i, row in enumerate(pts.tolist()):
+            assert sq[i] == sqdist(row, center)
+            assert mh[i] == manhattan(row, center)
+
+    @pytest.mark.parametrize("dims", [2, 8, 9, 16])
+    def test_within_mask_agrees_with_within_on_each_rows_own_radius(self, dims):
+        # every radius is some row's distance, so rows sit on the boundary and
+        # a summation order other than `sqdist`'s shows as a flipped decision
+        rng = np.random.default_rng(7 * dims)
+        pts = rng.normal(0, 1, size=(300, dims))
+        rows = [tuple(r) for r in pts.tolist()]
+        center = tuple(rng.normal(0, 1, size=dims).tolist())
+        for metric in ("euclidean", "manhattan"):
+            for row in rows[:40]:
+                d = sqdist(row, center) if metric == "euclidean" else manhattan(row, center)
+                radius = math.sqrt(d) if metric == "euclidean" else d
+                mask = within_mask(pts, center, radius, metric)
+                assert mask.tolist() == [within(r, center, radius, metric) for r in rows]
+
+    def test_dimensionality_mismatch(self):
+        with pytest.raises(ValueError):
+            column_keys(np.zeros((3, 5)), (0.0, 0.0))
 
 
 class TestPruneNnBefore:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outstream import LinearScanIndex, MTree, VPTree, range_query
-from outstream.core import distance
+from outstream.core import distance, within, within_mask
 
 
 def fill(index, points, payload=False):
@@ -226,3 +226,53 @@ def test_numpy_rows_and_centres_match_float_tuples(metric):
             assert range_query(mtree, center, r) == want
             assert range_query(vpt, center, r) == want
     mtree.check_invariants()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dims", [1, 2, 3, 9])
+def test_points_exactly_on_the_radius_agree_everywhere(dims, metric):
+    # integer coordinates and radii: every distance and R*R are exact, so
+    # many points sit exactly on the closed ball's boundary
+    rng = np.random.default_rng(dims)
+    pts = [tuple(map(float, row)) for row in rng.integers(-3, 4, size=(600, dims))]
+    idx = LinearScanIndex(dims, metric=metric)
+    for i, p in enumerate(pts):
+        idx.add(i, p, payload=("obj", i))
+    order = list(range(len(pts)))        # live ids in insertion order
+
+    def check():
+        on_edge = 0
+        for center in pts[:25]:
+            for radius in (0.0, 1.0, 2.0, 3.0):
+                want = [i for i in order if within(pts[i], center, radius, metric)]
+                on_edge += sum(distance(pts[i], center, metric) == radius for i in want)
+                mask = within_mask(np.array(pts), center, radius, metric)
+                assert [i for i in order if mask[i]] == want
+                assert idx.query_ids(center, radius) == want
+                assert idx.query_payloads(center, radius) == [("obj", i) for i in want]
+                got = idx.query_comparable(center, radius)
+                assert [e for e, _ in got] == [("obj", i) for i in want]
+                assert all(type(key) is float for _, key in got)
+        assert on_edge > 0
+
+    def drop(ids):
+        for i in ids:
+            idx.remove(i)
+            order.remove(i)
+
+    check()
+    drop(range(0, 600, 11))              # dead rows, below the compaction trigger
+    assert idx._dead > 0
+    check()
+    drop([i for i in range(1, 600, 2) if i in order])   # enough to compact
+    assert idx._n < len(pts)
+    check()
+    idx.add(1, pts[1], payload=("obj", 1))   # a re-added id goes last
+    order.append(1)
+    check()
+
+
+def test_payload_queries_fall_back_to_ids_without_payloads():
+    idx = fill(LinearScanIndex(2), [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)])
+    assert idx.query_payloads((0.0, 0.0), 5.0) == [0, 1]
+    assert idx.query_comparable((0.0, 0.0), 5.0) == [(0, 0.0), (1, 25.0)]

@@ -4,10 +4,10 @@ import pytest
 from outstream import (EventQueue, MicroClusterProcessor, StreamObject,
                        TopologyConfig, WindowConfig, WindowInterval,
                        assign_artificial_timestamps, brute_force_oracle,
-                       build_grid, count_window_config, grid_route,
-                       run_topology, select_neighbor_backend)
+                       build_grid, check_against_oracle, count_window_config,
+                       grid_route, run_topology, select_neighbor_backend)
 from outstream.processors import (SlicedWindowProcessor, WindowScanProcessor,
-                                  make_batch)
+                                  make_batch, microcluster)
 
 from conftest import clustered_values, run_exact
 
@@ -284,3 +284,25 @@ class TestCrossVariantEquivalence:
         ]
         sets = [[r.outliers for r in run.reports] for run in runs]
         assert all(s == sets[0] for s in sets[1:])
+
+
+def test_pmcod_linear_placement_needs_no_scalar_within(monkeypatch):
+    """Backend ``none`` decides every R/2 test from its scans' own keys."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar within called during placement")
+
+    vals = clustered_values(31, 600, 2, scatter=0.15)
+    src = assign_artificial_timestamps(vals, 120, 20)
+    cfg = count_window_config(120, 20, R=0.6, k=4, dims=2, partitions=3)
+
+    def run(backend):
+        return run_topology(src, TopologyConfig(
+            window=cfg, algorithm="pmcod", partitioner="grid",
+            flavor_backend=backend, sample_size=300, workers=1))
+
+    reference = run("full-mtree")
+    monkeypatch.setattr(microcluster, "within", refuse)
+    linear = run("none")
+    assert linear.digests() == reference.digests()
+    assert not check_against_oracle(linear.reports, src, cfg)
+    assert any(r.outliers for r in linear.reports)
