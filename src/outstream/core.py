@@ -180,6 +180,11 @@ class WindowConfig:
     def slides_per_window(self) -> int:
         return self.W // self.S
 
+    def interval(self, j: int) -> WindowInterval:
+        """The window closing with slide ``j``, which covers ticks [j*S, (j+1)*S)."""
+        end = (j + 1) * self.S
+        return WindowInterval(start=end - self.W, end=end, slide_index=j)
+
 
 @dataclass(frozen=True)
 class WindowInterval:

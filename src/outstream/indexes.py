@@ -10,7 +10,8 @@ decided by the exact shared predicate from `outstream.core`.
 The linear scan stores coordinates column-major and answers every query
 with `outstream.core.column_keys`: column sums, left to right, at any d,
 so its keys equal `sqdist` and `manhattan` and its decisions equal
-`within`, bit for bit.
+`within`, bit for bit.  The VP-tree's build distances come from the same
+kernel, square-rooted for the euclidean metric.
 
 The trees store coordinates as tuples of Python floats and convert query
 centres the same way: `float` of a ``numpy.float64`` is exact, so this
@@ -403,10 +404,8 @@ class VPTree:
         return len(self._points)
 
     def _dists(self, idx: np.ndarray, vantage: np.ndarray) -> np.ndarray:
-        diff = self._points[idx] - vantage
-        if self.metric == "euclidean":
-            return np.sqrt((diff * diff).sum(axis=1))
-        return np.abs(diff).sum(axis=1)
+        keys = column_keys(self._points[idx].T, vantage, self.metric)
+        return np.sqrt(keys, out=keys) if self.metric == "euclidean" else keys
 
     def _rows(self, idx: np.ndarray) -> list:
         return [tuple(row) for row in self._points[idx].tolist()]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import WindowConfig, WindowInterval
+from .core import WindowConfig
 from .runtime import StreamSource
 
 _CHUNK_CELLS = 4_000_000   # rows x cols per pairwise block
@@ -66,18 +66,19 @@ def oracle_slide_analysis(source: StreamSource, cfg: WindowConfig,
                           n_slides: int) -> tuple:
     """One pairwise pass per slide: outlier sets plus safe-inlier onset.
 
-    Returns ``(report_sets, first_safe)`` where ``report_sets[j]`` is the
-    exact outlier id set of slide ``j`` and ``first_safe[oid]`` is the
-    earliest slide at which the object holds k same-or-later-slide
-    neighbors.  Succeeding neighbors never expire before the object does,
-    so from that slide on the object can never be an outlier again.
+    The slides are the run's: ``n_slides`` of them from the first
+    object's (`StreamSource.slides`).  Returns ``(report_sets, first_safe)``
+    where ``report_sets[i]`` is the exact outlier id set of the ``i``-th
+    slide and ``first_safe[oid]`` is the ``slide_index`` of the earliest
+    slide at which the object holds k same-or-later-slide neighbors.
+    Succeeding neighbors never expire before the object does, so from that
+    slide on the object can never be an outlier again.
     """
     report_sets: list = []
     first_safe: dict = {}
-    for j in range(n_slides):
-        interval = WindowInterval(start=(j + 1) * cfg.S - cfg.W,
-                                  end=(j + 1) * cfg.S, slide_index=j)
-        rows = source.window_rows(interval)
+    for j in source.slides(cfg.S, n_slides):
+        interval = cfg.interval(j)
+        rows = source.rows(interval.start, interval.end)
         X = source.values[rows]
         ids = source.ids[rows]
         n = len(X)

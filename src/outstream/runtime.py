@@ -1,8 +1,10 @@
 """In-process dataflow: routing, slide scheduling, workers, and metrics.
 
-A run is a sequence of slides.  Each slide hands every partition its
-arrivals, executes the per-partition processors (concurrently when more
-than one worker is configured), and either unions the partition reports
+A run is one loop over slides from the first object's.  Each pass routes
+only that slide's arrivals (so memory follows the window, not the
+stream), executes the per-partition processors (inline, on a thread
+pool, or in one worker process per partition that gets each slide's
+batch over its pipe), and either unions the partition reports
 (value routing makes them disjoint and exact) or merges forwarded
 metadata through the meta-window (full replication).  Reports are
 deterministic for a fixed source and configuration regardless of worker
@@ -16,10 +18,11 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import OutlierReport, StreamObject, WindowConfig, WindowInterval
+from .core import OutlierReport, StreamObject, WindowConfig
 from .partition import (GridSpec, RoutingDecision, build_grid,
                         build_vp_partitioner, grid_route, random_route, vp_route)
 from .processors import (MetaWindow, MicroClusterProcessor,
@@ -57,10 +60,17 @@ class StreamSource:
     def dims(self) -> int:
         return self.values.shape[1]
 
-    def window_rows(self, interval: WindowInterval) -> slice:
-        lo = int(np.searchsorted(self.ts, interval.start, side="left"))
-        hi = int(np.searchsorted(self.ts, interval.end, side="left"))
+    def rows(self, start: int, end: int) -> slice:
+        """The rows whose ticks fall in [start, end)."""
+        lo = int(np.searchsorted(self.ts, start, side="left"))
+        hi = int(np.searchsorted(self.ts, end, side="left"))
         return slice(lo, hi)
+
+    def slides(self, S: int, count: int | None = None) -> range:
+        """``count`` slides (default: through the last object's) from ``ts[0] // S``."""
+        first = int(self.ts[0]) // S if self.n else 0
+        last = int(self.ts[-1]) // S if self.n else -1
+        return range(first, last + 1 if count is None else first + count)
 
 
 def assign_artificial_timestamps(values, w_count: int, s_count: int) -> StreamSource:
@@ -100,8 +110,9 @@ class TopologyConfig:
 
     ``worker_backend`` picks the execution mechanism for the per-partition
     workers: ``"thread"`` (default, cheap) or ``"process"`` (true
-    parallelism across cores at the cost of shipping slide batches between
-    processes).  Reports are identical either way.
+    parallelism across cores; each worker process receives every slide's
+    batch over its pipe and sends the partition output back).  Reports
+    and counters are identical either way.
     """
 
     window: WindowConfig
@@ -165,6 +176,7 @@ class RunResult:
     reports: list
     metrics: RunMetrics
     topology: TopologyConfig
+    # The last slide's `PartitionOutput.counters` (running totals), summed.
     counters: dict = field(default_factory=dict)
 
     def digests(self) -> tuple:
@@ -194,34 +206,25 @@ def route(spec, oid: int, value, partitions: int) -> RoutingDecision:
     return vp_route(spec, value)
 
 
-def stream_handler(source: StreamSource, topo: TopologyConfig, n_slides: int):
-    """Route every object: per-partition, per-slide inboxes of fresh copies.
+def stream_handler(source: StreamSource, rows: slice, spec, partitions: int):
+    """Route one slide's rows: per-partition inboxes of fresh copies.
 
-    Returns (inboxes, delivered_per_slide, arrivals_per_slide) where
-    ``inboxes[p][j]`` lists partition p's slide-j arrivals in (t, id) order.
+    Returns (inboxes, delivered) where ``inboxes[p]`` lists partition p's
+    arrivals in stream order and ``delivered`` counts the copies made.
     """
-    cfg = topo.window
-    spec = build_partition_spec(source, topo)
-    inboxes = [[[] for _ in range(n_slides)] for _ in range(cfg.partitions)]
-    delivered = [0] * n_slides
-    arrivals = [0] * n_slides
-    S = cfg.S
-    for i in range(source.n):
-        t = int(source.ts[i])
-        j = t // S
-        if j >= n_slides:
-            break
-        oid = int(source.ids[i])
-        value = tuple(source.values[i].tolist())
-        decision = route(spec, oid, value, cfg.partitions)
-        arrivals[j] += 1
-        delivered[j] += decision.copies
-        inboxes[decision.owner][j].append(
+    inboxes = [[] for _ in range(partitions)]
+    delivered = 0
+    for oid, row, t in zip(source.ids[rows].tolist(), source.values[rows].tolist(),
+                           source.ts[rows].tolist()):
+        value = tuple(row)
+        decision = route(spec, oid, value, partitions)
+        delivered += decision.copies
+        inboxes[decision.owner].append(
             StreamObject(id=oid, value=value, t=t, flag=0, partition=decision.owner))
         for p in decision.replicas:
-            inboxes[p][j].append(
+            inboxes[p].append(
                 StreamObject(id=oid, value=value, t=t, flag=1, partition=decision.owner))
-    return inboxes, delivered, arrivals
+    return inboxes, delivered
 
 
 def _make_processor(topo: TopologyConfig, partition: int):
@@ -243,37 +246,44 @@ def _make_processor(topo: TopologyConfig, partition: int):
 # Execution
 # ---------------------------------------------------------------------------
 
-def derive_slide_count(source: StreamSource, cfg: WindowConfig) -> int:
-    if source.n == 0:
-        return 0
-    return int(source.ts[-1]) // cfg.S + 1
-
-
-def _process_worker_main(pipe, topo: TopologyConfig, partition: int,
-                         inbox: list) -> None:
-    cfg = topo.window
-    proc = _make_processor(topo, partition)
-    while True:
-        j = pipe.recv()
-        if j is None:
-            return
-        interval = WindowInterval(start=(j + 1) * cfg.S - cfg.W,
-                                  end=(j + 1) * cfg.S, slide_index=j)
+def _slide_outputs(j: int, pending: list) -> list:
+    """Call each ``pending[p]()``; any backend's failure is raised naming j and p."""
+    outputs = []
+    for p, result in enumerate(pending):
         try:
-            batch = make_batch(interval, inbox[j], cfg)
+            outputs.append(result())
+        except Exception as exc:
+            raise RuntimeError(f"worker failed at slide {j}, partition {p}: {exc}") from exc
+    return outputs
+
+
+def _process_worker_main(pipe, topo: TopologyConfig, partition: int) -> None:
+    proc = _make_processor(topo, partition)
+    while (batch := pipe.recv()) is not None:
+        try:
             pipe.send((True, proc.process_slide(batch)))
         except Exception as exc:
             pipe.send((False, f"{type(exc).__name__}: {exc}"))
 
 
+def _receive(pipe):
+    try:
+        ok, payload = pipe.recv()
+    except (EOFError, OSError) as exc:
+        raise ChildProcessError(f"worker process died ({exc!r})") from exc
+    if not ok:
+        raise ChildProcessError(payload)
+    return payload
+
+
 class _ProcessWorkers:
     """One long-lived process per partition.
 
-    Each worker receives its whole routed inbox up front; per slide only
-    the slide index travels out and the partition output travels back.
+    Each slide's batch travels out over the partition's pipe and the
+    partition output travels back.
     """
 
-    def __init__(self, topo: TopologyConfig, inboxes: list):
+    def __init__(self, topo: TopologyConfig):
         import multiprocessing as mp
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                              else "spawn")
@@ -282,22 +292,19 @@ class _ProcessWorkers:
         for p in range(topo.window.partitions):
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_process_worker_main,
-                               args=(child, topo, p, inboxes[p]), daemon=True)
+                               args=(child, topo, p), daemon=True)
             proc.start()
             child.close()
             self.pipes.append(parent)
             self.procs.append(proc)
 
-    def run_slide(self, j: int) -> list:
-        for pipe in self.pipes:
-            pipe.send(j)
-        outputs = []
-        for p, pipe in enumerate(self.pipes):
-            ok, payload = pipe.recv()
-            if not ok:
-                raise RuntimeError(f"worker failed at slide {j}, partition {p}: {payload}")
-            outputs.append(payload)
-        return outputs
+    def submit(self, batches: list) -> list:
+        for pipe, batch in zip(self.pipes, batches):
+            try:
+                pipe.send(batch)
+            except OSError:
+                pass    # the worker is gone; receiving from it reports that
+        return [partial(_receive, pipe) for pipe in self.pipes]
 
     def shutdown(self) -> None:
         for pipe in self.pipes:
@@ -312,61 +319,46 @@ class _ProcessWorkers:
 
 def run_topology(source: StreamSource, topo: TopologyConfig,
                  slides: int | None = None, warmup: int = 5) -> RunResult:
-    """Execute the configured topology over the source, slide by slide."""
+    """Run the topology slide by slide from the first object's; ``slides`` caps the count."""
     cfg = topo.window
-    n_slides = derive_slide_count(source, cfg) if slides is None else slides
-    inboxes, delivered, arrivals = stream_handler(source, topo, n_slides)
-    use_processes = topo.worker_backend == "process" and cfg.partitions > 1
-    processors = ([] if use_processes
-                  else [_make_processor(topo, p) for p in range(cfg.partitions)])
+    spec = build_partition_spec(source, topo)
     meta = MetaWindow(cfg) if topo.needs_meta_window else None
     workers = None
     pool = None
-    if use_processes:
-        workers = _ProcessWorkers(topo, inboxes)
-    elif topo.effective_workers > 1:
-        pool = ThreadPoolExecutor(max_workers=topo.effective_workers)
+    if topo.worker_backend == "process" and cfg.partitions > 1:
+        workers = _ProcessWorkers(topo)
+    else:
+        processors = [_make_processor(topo, p) for p in range(cfg.partitions)]
+        if topo.effective_workers > 1:
+            pool = ThreadPoolExecutor(max_workers=topo.effective_workers)
 
     reports = []
+    outputs: list = []
     try:
-        for j in range(n_slides):
-            interval = WindowInterval(start=(j + 1) * cfg.S - cfg.W,
-                                      end=(j + 1) * cfg.S, slide_index=j)
-            if workers is None:
-                batches = [make_batch(interval, inboxes[p][j], cfg)
-                           for p in range(cfg.partitions)]
+        for j in source.slides(cfg.S, slides):
+            interval = cfg.interval(j)
+            rows = source.rows(interval.end - cfg.S, interval.end)
+            inboxes, delivered = stream_handler(source, rows, spec, cfg.partitions)
+            batches = [make_batch(interval, inbox, cfg) for inbox in inboxes]
             t0 = time.perf_counter()
             if workers is not None:
-                outputs = workers.run_slide(j)
-            elif pool is None:
-                outputs = []
-                for p, (proc, batch) in enumerate(zip(processors, batches)):
-                    try:
-                        outputs.append(proc.process_slide(batch))
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"worker failed at slide {j}, partition {p}: {exc}") from exc
-            else:
-                futures = [pool.submit(proc.process_slide, batch)
+                pending = workers.submit(batches)
+            elif pool is not None:
+                pending = [pool.submit(proc.process_slide, batch).result
                            for proc, batch in zip(processors, batches)]
-                outputs = []
-                for p, fut in enumerate(futures):
-                    try:
-                        outputs.append(fut.result())
-                    except Exception as exc:
-                        raise RuntimeError(
-                            f"worker failed at slide {j}, partition {p}: {exc}") from exc
+            else:
+                pending = [partial(proc.process_slide, batch)
+                           for proc, batch in zip(processors, batches)]
+            outputs = _slide_outputs(j, pending)
             if meta is not None:
                 outliers = meta.merge_slide(interval, [o.forwards for o in outputs])
             else:
-                outliers = set()
-                for o in outputs:
-                    outliers.update(o.outliers)
+                outliers = set().union(*(o.outliers for o in outputs))
             wall = time.perf_counter() - t0
             reports.append(OutlierReport(
                 interval=interval, outliers=frozenset(outliers),
-                slide_wall_time=wall, arrivals=arrivals[j],
-                delivered=delivered[j], alive=sum(o.alive for o in outputs)))
+                slide_wall_time=wall, arrivals=rows.stop - rows.start,
+                delivered=delivered, alive=sum(o.alive for o in outputs)))
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
@@ -374,8 +366,8 @@ def run_topology(source: StreamSource, topo: TopologyConfig,
             workers.shutdown()
 
     counters: dict = {}
-    for proc in processors:
-        for key, val in getattr(proc, "counters", {}).items():
+    for o in outputs:
+        for key, val in o.counters.items():
             counters[key] = counters.get(key, 0) + val
     metrics = collect_metrics(reports, warmup=warmup)
     return RunResult(reports=reports, metrics=metrics, topology=topo,

@@ -174,3 +174,9 @@ class TestWindowConfig:
 
     def test_slides_per_window(self):
         assert WindowConfig(W=10, S=5, R=1.0, k=1).slides_per_window == 2
+
+    def test_interval_of_slide(self):
+        cfg = WindowConfig(W=10, S=5, R=1.0, k=1)
+        iv = cfg.interval(3)
+        assert (iv.start, iv.end, iv.slide_index) == (10, 20, 3)
+        assert cfg.interval(0).start == -5    # the first window is still filling

@@ -117,6 +117,21 @@ class TestMTree:
 
 
 class TestVPTree:
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_build_distances_come_from_the_column_kernel(self, metric):
+        # equal to the scalar metric at any d; at d <= 7, where numpy sums a
+        # row left to right, also equal to the row-wise sums
+        for dims in range(1, 11):
+            pts = np.random.default_rng(dims).normal(0, 1, size=(60, dims))
+            tree = VPTree(pts, metric=metric)
+            got = tree._dists(np.arange(60), pts[7]).tolist()
+            assert got == [distance(p, pts[7].tolist(), metric) for p in pts.tolist()]
+            if dims <= 7:
+                diff = pts - pts[7]
+                rows = (np.sqrt((diff * diff).sum(axis=1)) if metric == "euclidean"
+                        else np.abs(diff).sum(axis=1))
+                assert got == rows.tolist()
+
     def test_eight_distinct_points_reach_level_two(self):
         tree = VPTree([(float(i),) for i in range(8)], seed=3)
         nodes = tree.nodes_at_level(2)

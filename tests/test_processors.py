@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from outstream import (EventQueue, MicroClusterProcessor, StreamObject,
-                       TopologyConfig, WindowConfig, WindowInterval,
+                       TopologyConfig, WindowConfig,
                        assign_artificial_timestamps, brute_force_oracle,
                        build_grid, check_against_oracle, count_window_config,
                        grid_route, run_topology, select_neighbor_backend)
@@ -12,13 +12,8 @@ from outstream.processors import (SlicedWindowProcessor, WindowScanProcessor,
 from conftest import clustered_values, run_exact
 
 
-def interval(j, cfg):
-    return WindowInterval(start=(j + 1) * cfg.S - cfg.W, end=(j + 1) * cfg.S,
-                          slide_index=j)
-
-
 def batch(j, cfg, arrivals):
-    return make_batch(interval(j, cfg), arrivals, cfg)
+    return make_batch(cfg.interval(j), arrivals, cfg)
 
 
 def sobj(oid, value, t, flag=0, partition=0):
@@ -80,7 +75,7 @@ class TestNaive:
         cfg = WindowConfig(W=4, S=1, R=0.5, k=2, partitions=3)
         meta = MetaWindow(cfg)
         with pytest.raises(RuntimeError, match="barrier"):
-            meta.merge_slide(interval(0, cfg), [[], []])
+            meta.merge_slide(cfg.interval(0), [[], []])
 
     def test_randomized_stream_matches_oracle(self):
         vals = clustered_values(31, 500, 1)
