@@ -3,7 +3,7 @@
 Mirrors what the command line does, in library form: for each slide size
 the micro-cluster detector and the naive solution process the same
 stream; per-slide outlier sets are verified against the oracle and the
-aggregate metrics are collected into run records.
+aggregate metrics are printed one row per run.
 
 The CLI equivalent of one of these rows:
 
@@ -16,7 +16,6 @@ from outstream import (GaussianMixtureSpec, TopologyConfig,
                        assign_artificial_timestamps, check_against_oracle,
                        count_window_config, generate_gaussian_values,
                        run_topology)
-from outstream.bench import RunRecord
 
 W, R, K, PARTITIONS, SLIDES = 4_000, 0.28, 20, 4, 18
 
@@ -36,8 +35,6 @@ for s_pct in (5, 10, 20, 50):
         problems = check_against_oracle(res.reports, src, cfg)
         assert not problems, problems[:2]
         m = res.metrics
-        record = RunRecord.from_result(res, {
-            "algorithm": algorithm, "S": f"{s_pct}%", "W": W})
         print(f"{s_pct:5d}% {algorithm:>10s} {m.mean_slide_ms:9.2f} "
               f"{m.median_slide_ms:10.2f} {m.throughput_obj_s:9.0f} "
               f"{m.replication_factor:6.2f} {100 * m.outlier_fraction:6.2f}%")

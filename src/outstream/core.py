@@ -194,9 +194,6 @@ class WindowInterval:
     end: int
     slide_index: int
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True)
 class OutlierReport:

@@ -160,9 +160,10 @@ class MTree:
 
     Promotion picks the two entries with maximum pairwise distance among a
     bounded candidate sample; the split assigns each entry to the nearer
-    promoted pivot (generalized hyperplane).  Removal never shrinks
-    covering radii; a leaf that drops below a quarter of capacity is
-    dissolved and its entries reinserted.
+    promoted pivot (generalized hyperplane).  Removal only forgets: a
+    node left empty is unlinked from its parent, level by level up the
+    tree, and a root left with a single internal child collapses into it.
+    Covering radii never shrink, so every pruning bound stays valid.
     """
 
     def __init__(self, metric: str = "euclidean", capacity: int = 25):
@@ -276,37 +277,28 @@ class MTree:
     # -- removal ------------------------------------------------------------
 
     def remove(self, oid) -> None:
-        leaf = self._leaf_of.pop(oid, None)
-        if leaf is None:
+        node = self._leaf_of.pop(oid, None)
+        if node is None:
             raise ValueError(f"id {oid!r} not present")
-        i = leaf.ids.index(oid)
-        leaf.ids.pop(i)
-        leaf.points.pop(i)
-        leaf.pdists.pop(i)
-        if leaf.parent is not None and len(leaf.ids) * 4 < self.capacity:
-            self._dissolve(leaf)
-
-    def _dissolve(self, leaf: _MNode) -> None:
-        ids, points = leaf.ids, leaf.points
-        node, parent = leaf, leaf.parent
-        while parent is not None:
+        i = node.ids.index(oid)
+        node.ids.pop(i)
+        node.points.pop(i)
+        node.pdists.pop(i)
+        while not node.points and node.parent is not None:
+            parent = node.parent
             i = parent.children.index(node)
             parent.points.pop(i)
             parent.radii.pop(i)
             parent.children.pop(i)
             parent.pdists.pop(i)
-            if parent.children:
-                break
-            node, parent = parent, parent.parent
-        if parent is None:
+            node = parent
+        root = self._root
+        if not root.points:
             self._root = _MNode(leaf=True)
-        elif parent is self._root and len(parent.children) == 1 and not parent.children[0].leaf:
-            self._root = parent.children[0]
+        elif len(root.children) == 1 and not root.children[0].leaf:
+            self._root = root.children[0]
             self._root.parent = None
             self._root.pdists = [0.0] * len(self._root.points)
-        for oid, pt in zip(ids, points):
-            del self._leaf_of[oid]
-            self.add(oid, pt)
 
     # -- queries ------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -132,21 +133,11 @@ def grid_route(spec: GridSpec, value) -> RoutingDecision:
         ranges.append(range(lo, hi + 1))
     owner = spec.cell_partition(tuple(owner_cell))
     replicas = set()
-    for cell in _product(ranges):
+    for cell in product(*ranges):
         p = spec.cell_partition(cell)
         if p != owner:
             replicas.add(p)
     return RoutingDecision(owner, frozenset(replicas))
-
-
-def _product(ranges):
-    if len(ranges) == 1:
-        for a in ranges[0]:
-            yield (a,)
-        return
-    for a in ranges[0]:
-        for rest in _product(ranges[1:]):
-            yield (a, *rest)
 
 
 # ---------------------------------------------------------------------------

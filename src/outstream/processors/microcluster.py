@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from collections import deque
 
 from ..core import (StreamObject, WindowConfig, is_outlier, key_limit,
                     manhattan, prune_nn_before, sqdist, trim_nn_before,
@@ -132,8 +133,7 @@ class MicroClusterProcessor:
         self.pool: dict = {}        # non-cluster points, safe inliers included
         self.clusters: dict = {}
         self._next_cid = 0
-        self._expiry: list = []     # (t, id) FIFO, arrival order
-        self._exp_head = 0
+        self._expiry: deque = deque()   # (t, id) in arrival order
         self.window_tree = MTree(metric=cfg.metric) if plan["window_tree"] else None
         self.pool_index = (MTree(metric=cfg.metric) if plan["pool_tree"]
                            else None if plan["window_tree"]
@@ -283,9 +283,8 @@ class MicroClusterProcessor:
         drained = self.equeue.drain(batch.expiry) if self.equeue is not None else []
 
         shrunk = set()
-        while self._exp_head < len(self._expiry) and self._expiry[self._exp_head][0] < batch.expiry:
-            _, oid = self._expiry[self._exp_head]
-            self._exp_head += 1
+        while self._expiry and self._expiry[0][0] < batch.expiry:
+            _, oid = self._expiry.popleft()
             o = self.objs.pop(oid)
             if o.mc_id is not None:
                 self.clusters[o.mc_id].members.remove(oid)
@@ -294,9 +293,6 @@ class MicroClusterProcessor:
                 self._pool_remove(oid)
             if self.window_tree is not None:
                 self.window_tree.remove(oid)
-        if self._exp_head > 4096 and self._exp_head * 2 > len(self._expiry):
-            del self._expiry[: self._exp_head]
-            self._exp_head = 0
 
         dissolved: list = []
         for cid in sorted(shrunk):
@@ -305,10 +301,8 @@ class MicroClusterProcessor:
                 continue
             del self.clusters[cid]
             self.center_index.remove(cid)
-            members = sorted(((o.t, o.id, o) for o in
-                              (self.objs[i] for i in cluster.members.ids())),
-                             key=lambda e: (e[0], e[1]))
-            for t, oid, o in members:
+            for oid in cluster.members.ids():
+                o = self.objs[oid]
                 o.mc_id = None
                 self._pool_add(o)
                 dissolved.append(o)

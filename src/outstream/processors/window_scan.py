@@ -39,8 +39,7 @@ class WindowScanProcessor:
         self.objs: dict = {}
         self.index = (LinearScanIndex(cfg.dims, cfg.metric) if index == "linear"
                       else MTree(metric=cfg.metric))
-        self._expiry_queue: deque = deque()   # (t, id) in arrival order
-        self._pending_replicas: list = []     # flag-1 ids to drop next slide
+        self._expiry_queue: deque = deque()   # (t, id) of objects that expire by time
         self._po: set = set()                 # flag-0 ids not yet safe
 
     # -- helpers -------------------------------------------------------------
@@ -59,14 +58,8 @@ class WindowScanProcessor:
 
     def process_slide(self, batch: SlideBatch) -> PartitionOutput:
         cfg = self.cfg
-        if self.replicated:
-            for oid in self._pending_replicas:
-                self._drop(oid)
-            self._pending_replicas = []
         while self._expiry_queue and self._expiry_queue[0][0] < batch.expiry:
-            _, oid = self._expiry_queue.popleft()
-            if oid in self.objs:
-                self._drop(oid)
+            self._drop(self._expiry_queue.popleft()[1])
 
         for o in batch.arrivals:
             neighbors = self._neighbors(o.value)
@@ -76,19 +69,19 @@ class WindowScanProcessor:
                 self.index.add(o.id, o.value, payload=o)
             else:
                 self.index.add(o.id, o.value)
-            self._expiry_queue.append((o.t, o.id))
+            if o.flag == 0 or not self.replicated:
+                self._expiry_queue.append((o.t, o.id))
             if o.flag == 0:
                 self._po.add(o.id)
-            elif self.replicated:
-                self._pending_replicas.append(o.id)
 
         alive = sum(1 for o in self.objs.values() if o.flag == 0)
         if self.replicated:
             forwards = [LocalMeta(o.id, o.partition, o.t, o.flag,
                                   o.count_after, tuple(o.nn_before))
-                        for _, oid in self._expiry_queue
-                        if (o := self.objs.get(oid)) is not None
-                        and o.count_after < cfg.k]
+                        for o in self.objs.values() if o.count_after < cfg.k]
+            for o in batch.arrivals:
+                if o.flag:
+                    self._drop(o.id)
             return PartitionOutput(forwards=forwards, alive=alive)
 
         outliers = set()
@@ -109,8 +102,8 @@ class MetaWindow:
     (replicas only ever see an object during its arrival slide), while the
     succeeding-neighbor count is refreshed every slide from the owner copy,
     which observes every later arrival under full replication.  An object
-    whose owner stops forwarding it has become a safe inlier and is
-    dropped.
+    whose owner stops forwarding it has expired or become a safe inlier
+    and is dropped.
     """
 
     def __init__(self, cfg: WindowConfig):
@@ -129,10 +122,6 @@ class MetaWindow:
         for part in forwards_by_partition:
             for rec in part:
                 groups.setdefault(rec.id, []).append(rec)
-
-        expired = [oid for oid, e in self._entries.items() if e[0] < w_start]
-        for oid in expired:
-            del self._entries[oid]
 
         refreshed = set()
         for oid, recs in groups.items():

@@ -40,15 +40,23 @@ DEFAULT_SAMPLE_SIZE = 10_000
 
 @dataclass(frozen=True)
 class StreamSource:
-    """Ordered object sequence: ids, coordinate rows, and integer ticks."""
+    """Ordered object sequence: ids, finite coordinate rows, and integer ticks."""
 
     ids: np.ndarray
     values: np.ndarray
     ts: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.ids) == len(self.values) == len(self.ts)):
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.ndim == 2
+                and np.issubdtype(vals.dtype, np.number)):
+            raise ValueError("values must be a 2-d numeric array, one row per object")
+        if not (len(self.ids) == len(vals) == len(self.ts)):
             raise ValueError("ids, values and ts must have equal length")
+        finite = np.isfinite(vals).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"row {i}: non-finite value {vals[i].tolist()}")
         if len(self.ts) and np.any(np.diff(self.ts) < 0):
             raise ValueError("timestamps must be non-decreasing")
 
@@ -321,6 +329,8 @@ def run_topology(source: StreamSource, topo: TopologyConfig,
                  slides: int | None = None, warmup: int = 5) -> RunResult:
     """Run the topology slide by slide from the first object's; ``slides`` caps the count."""
     cfg = topo.window
+    if source.dims != cfg.dims:
+        raise ValueError(f"source has {source.dims} dims, the window config {cfg.dims}")
     spec = build_partition_spec(source, topo)
     meta = MetaWindow(cfg) if topo.needs_meta_window else None
     workers = None

@@ -16,6 +16,15 @@ def fill(index, points, payload=False):
     return index
 
 
+def mtree_nodes(tree):
+    stack, count = [tree._root], 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(node.children)
+    return count
+
+
 class TestLinearScan:
     def test_basic_range(self):
         idx = fill(LinearScanIndex(1), [(0.0,), (0.4,), (0.9,)])
@@ -100,6 +109,34 @@ class TestMTree:
                 assert range_query(tree, q, 0.5) == range_query(ref, q, 0.5)
         assert len(tree) == len(ref) == len(live)
         tree.check_invariants()
+
+    def test_sliding_window_turnover_keeps_the_tree_lean_and_exact(self):
+        rng = np.random.default_rng(31)
+        pts = rng.normal(0, 1, size=(20_000, 3))
+        window = 1_000
+        tree, ref = MTree(), LinearScanIndex(3)
+        for i, pt in enumerate(pts):
+            if i >= window:
+                tree.remove(i - window)
+                ref.remove(i - window)
+            tree.add(i, tuple(pt))
+            ref.add(i, tuple(pt))
+            if (i + 1) % window == 0:
+                tree.check_invariants()
+                assert mtree_nodes(tree) <= len(tree)
+                for q in rng.normal(0, 1, size=(10, 3)):
+                    for r in (0.2, 0.6):
+                        assert range_query(tree, tuple(q), r) == range_query(ref, tuple(q), r)
+
+    def test_removing_every_entry_leaves_one_empty_leaf(self):
+        rng = np.random.default_rng(4)
+        tree = fill(MTree(capacity=4), rng.normal(0, 1, size=(300, 2)))
+        for n, oid in enumerate(rng.permutation(300).tolist()):
+            tree.remove(oid)
+            if n % 50 == 0:
+                tree.check_invariants()
+        assert len(tree) == 0 and mtree_nodes(tree) == 1
+        assert range_query(tree, (0.0, 0.0), 100.0) == set()
 
     def test_radius_zero_returns_exact_duplicates(self):
         tree = fill(MTree(), [(1.0, 2.0), (1.0, 2.0 + 1e-12), (3.0, 4.0)])

@@ -183,6 +183,17 @@ class TestCli:
                    "--partitioning", "grid", "--partitions", "2"] + self.base_args())
         assert rc == 2
 
+    def test_non_finite_dataset_cell_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "stream.csv"
+        rows = [f"{0.01 * i},{0.02 * i}" for i in range(400)]
+        rows[7] = "0.5,nan"
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["--algorithm", "pmcod", "--partitioning", "grid",
+                   "--partitions", "2", "--dataset", str(path), "--W", "100",
+                   "--S", "25%", "--R", "0.3", "--k", "3", "--slides", "16"])
+        assert rc == 2
+        assert "row 7" in capsys.readouterr().err
+
     def test_dataset_run(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "stream.csv"

@@ -81,6 +81,19 @@ class TestNaive:
         vals = clustered_values(31, 500, 1)
         run_exact(vals, 100, 20, 0.5, 3, "naive", "random", 4)
 
+    @pytest.mark.parametrize("index", ["linear", "mtree"])
+    def test_replicas_leave_with_their_slide(self, index):
+        cfg = WindowConfig(W=4, S=1, R=0.5, k=2, partitions=2)
+        proc = WindowScanProcessor(cfg, 0, index=index, replicated=True)
+        arrivals = [sobj(0, 1.0, 0), sobj(1, 1.1, 0, flag=1, partition=1),
+                    sobj(3, 9.0, 0, flag=1, partition=1)]
+        out = proc.process_slide(batch(0, cfg, arrivals))
+        assert {m.id for m in out.forwards} == {0, 1, 3}
+        assert out.forwards[0].count_after == 1
+        assert set(proc.objs) == {0}
+        assert all(o.flag == 0 for o in proc.objs.values())
+        assert len(proc.index) == 1
+
 
 class TestAdvanced:
     def grid_pair(self):
@@ -264,6 +277,25 @@ class TestMicroCluster:
         member = proc.objs[4]
         assert member.mc_id is not None
         assert member.count_after == 0 and member.nn_before == []
+
+
+@pytest.mark.parametrize("algorithm, partitioner, flavors", [
+    ("advanced", "random", {}),
+    ("advanced", "grid", {}),
+    ("advanced", "vptree", {}),
+    ("advanced-sliced", "grid", {}),
+    ("naive", "random", {}),
+    ("pmcod", "grid", {"flavor_backend": "full-mtree"}),
+    ("pmcod", "grid", {"flavor_backend": "po-mtree"}),
+    ("pmcod", "grid", {"flavor_backend": "dual-mtree"}),
+])
+def test_ten_windows_of_removals_stay_exact(algorithm, partitioner, flavors):
+    """100 slides through a 10-slide window: every object leaves once."""
+    vals = clustered_values(23, 3000, 2, scatter=0.15)
+    res = run_exact(vals, 300, 30, 0.6, 4, algorithm, partitioner, 4,
+                    workers=1, **flavors)
+    assert len(res.reports) == 100
+    assert sum(len(r.outliers) for r in res.reports) > 0
 
 
 class TestCrossVariantEquivalence:

@@ -44,6 +44,19 @@ class TestArtificialTimestamps:
             StreamSource(ids=np.array([0, 1]), values=np.zeros((2, 1)),
                          ts=np.array([5, 3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_naming_the_row(self, bad):
+        vals = np.zeros((5, 2))
+        vals[3, 1] = bad
+        with pytest.raises(ValueError, match="row 3"):
+            StreamSource(ids=np.arange(5), values=vals, ts=np.arange(5))
+
+    @pytest.mark.parametrize("vals", [np.zeros(4), np.zeros((4, 1, 1)),
+                                      [[0.0]] * 4, np.array([["a"]] * 4)])
+    def test_values_must_be_a_2d_numeric_array(self, vals):
+        with pytest.raises(ValueError, match="2-d numeric"):
+            StreamSource(ids=np.arange(4), values=vals, ts=np.arange(4))
+
     def test_native_time_windows_with_multi_tick_slides(self):
         # slides span several ticks; same-slide objects still expire together
         rng = np.random.default_rng(6)
@@ -151,6 +164,17 @@ class TestStreamHandler:
 
 
 class TestRunTopology:
+    @pytest.mark.parametrize("algorithm, partitioner, partitions", [
+        ("baseline", "random", 1), ("naive", "random", 2),
+        ("advanced", "random", 2), ("pmcod", "grid", 2)])
+    def test_dims_mismatch_rejected(self, algorithm, partitioner, partitions):
+        src = assign_artificial_timestamps(np.zeros((40, 2)), 20, 10)
+        cfg = count_window_config(20, 10, R=0.5, k=2, dims=1, partitions=partitions)
+        topo = TopologyConfig(window=cfg, algorithm=algorithm,
+                              partitioner=partitioner, sample_size=40)
+        with pytest.raises(ValueError, match="2 dims"):
+            run_topology(src, topo)
+
     def test_identical_reports_across_runs_and_worker_counts(self, small_stream):
         digests = []
         for workers in (1, 2, 8, 2):
