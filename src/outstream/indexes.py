@@ -7,6 +7,15 @@ slop so floating-point rounding of triangle-inequality arithmetic can
 only widen a search, never drop a qualifying point; membership itself is
 decided by the exact shared predicate from `outstream.core`.
 
+`LinearScanIndex` and `MTree` share one protocol: ``add(oid, value,
+payload=None)`` (the payload defaults to the id), ``remove(oid)``, and the
+range queries ``query_ids``, ``query_payloads`` and ``query_comparable``,
+whose (payload, key) pairs carry `sqdist` (euclidean) or `manhattan` bit
+for bit, so a key compared with `key_limit` decides as `within` does.
+A point or centre of another dimensionality raises ``ValueError``; the
+M-tree takes its dimensionality from its first point.  The scan returns
+hits in insertion order, the M-tree in tree order.
+
 The linear scan stores coordinates column-major and answers every query
 with `outstream.core.column_keys`: column sums, left to right, at any d,
 so its keys equal `sqdist` and `manhattan` and its decisions equal
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import column_keys, distance, key_limit, within
+from .core import column_keys, distance, key_limit, manhattan, sqdist, within
 
 # Pruning tolerance (conservative side only, see module docstring).
 _SLOP = 1e-9
@@ -31,14 +40,19 @@ _SLOP = 1e-9
 _NO_SLOTS = np.empty(0, dtype=np.intp)
 
 
+def _as_point(value, dims) -> tuple:
+    """``value`` as a tuple of Python floats, checked against ``dims``."""
+    point = tuple(map(float, value))
+    if len(point) != dims:
+        raise ValueError(f"dimensionality mismatch: {len(point)} vs {dims}")
+    return point
+
+
 class LinearScanIndex:
     """Flat store over a growing column-major buffer with vectorized range queries.
 
     Coordinates are kept as ``dims x capacity`` so that every query is one
-    `column_keys` pass, one dimension at a time.  Also used as the building
-    block for window pools and micro-cluster member sets, so entries may
-    carry an arbitrary payload; `query_payloads` and `query_comparable`
-    return the id of an entry stored without one.
+    `column_keys` pass, one dimension at a time.
     """
 
     def __init__(self, dims: int, metric: str = "euclidean"):
@@ -61,6 +75,8 @@ class LinearScanIndex:
     def add(self, oid, value, payload=None) -> None:
         if oid in self._slot_of:
             raise ValueError(f"id {oid!r} already present")
+        if len(value) != self.dims:
+            raise ValueError(f"dimensionality mismatch: {len(value)} vs {self.dims}")
         if self._n == self._cols.shape[1]:
             self._grow()
         slot = self._n
@@ -124,13 +140,7 @@ class LinearScanIndex:
         return [payloads[s] for s in self._hits(center, radius)[0].tolist()]
 
     def query_comparable(self, center, radius) -> list:
-        """(payload, comparison key) pairs for hits, in insertion order.
-
-        The key is the squared distance for the euclidean metric and the
-        plain distance for manhattan, as a Python float; it is the exact
-        `column_keys` value, so comparing it with `key_limit` of a smaller
-        radius decides membership bit for bit as `within` does.
-        """
+        """(payload, comparison key) pairs for hits, in insertion order."""
         slots, keys = self._hits(center, radius)
         if len(slots) == 0:
             return []
@@ -171,8 +181,11 @@ class MTree:
             raise ValueError("capacity must be at least 4")
         self.metric = metric
         self.capacity = capacity
+        self.dims = None     # set by the first point
         self._root = _MNode(leaf=True)
         self._leaf_of: dict = {}
+        self._payload_of: dict = {}
+        self._point_of: dict = {}
 
     def __len__(self) -> int:
         return len(self._leaf_of)
@@ -185,10 +198,14 @@ class MTree:
 
     # -- insertion ----------------------------------------------------------
 
-    def add(self, oid, value) -> None:
+    def add(self, oid, value, payload=None) -> None:
         if oid in self._leaf_of:
             raise ValueError(f"id {oid!r} already present")
-        value = tuple(map(float, value))
+        if self.dims is None:
+            self.dims = len(value)
+        value = _as_point(value, self.dims)
+        self._payload_of[oid] = oid if payload is None else payload
+        self._point_of[oid] = value
         node, pdist = self._root, 0.0
         while not node.leaf:
             dists = [self._dist(value, p) for p in node.points]
@@ -280,6 +297,8 @@ class MTree:
         node = self._leaf_of.pop(oid, None)
         if node is None:
             raise ValueError(f"id {oid!r} not present")
+        del self._payload_of[oid]
+        del self._point_of[oid]
         i = node.ids.index(oid)
         node.ids.pop(i)
         node.points.pop(i)
@@ -303,10 +322,23 @@ class MTree:
     # -- queries ------------------------------------------------------------
 
     def query_ids(self, center, radius) -> list:
+        """Ids of stored points within ``radius`` of ``center`` (tree order)."""
         out: list = []
         if self._leaf_of:
-            self._search(self._root, tuple(map(float, center)), float(radius), None, out)
+            self._search(self._root, _as_point(center, self.dims), float(radius), None, out)
         return out
+
+    def query_payloads(self, center, radius) -> list:
+        payload_of = self._payload_of
+        return [payload_of[i] for i in self.query_ids(center, radius)]
+
+    def query_comparable(self, center, radius) -> list:
+        """(payload, comparison key) pairs for hits, in tree order."""
+        hits = self.query_ids(center, radius)
+        center = tuple(map(float, center))
+        key = sqdist if self.metric == "euclidean" else manhattan
+        payload_of, point_of = self._payload_of, self._point_of
+        return [(payload_of[i], key(center, point_of[i])) for i in hits]
 
     def _search(self, node, center, radius, d_parent, out) -> None:
         if node.leaf:
@@ -430,10 +462,7 @@ class VPTree:
         return max(self._max_level(node.inside), self._max_level(node.outside))
 
     def query_ids(self, center, radius) -> list:
-        c = tuple(map(float, center))
-        if len(c) != self._points.shape[1]:
-            raise ValueError(
-                f"dimensionality mismatch: {len(c)} vs {self._points.shape[1]}")
+        c = _as_point(center, self._points.shape[1])
         radius = float(radius)
         out: list = []
         stack = [self.root]

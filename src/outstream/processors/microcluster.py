@@ -7,13 +7,13 @@ The pool keeps every non-cluster point, including safe inliers, because
 later arrivals must still count them as neighbors; safe entries are
 simply excluded from evaluation, the event queue, and reports.
 
-Neighbor-search backends answer the same queries with identical results:
+Neighbor-search backends differ only in which index holds which points;
+all are queried through the one protocol of `outstream.indexes`:
 
 * ``full-mtree``: one metric tree over every point in the window.
-* ``none``: vectorized scans over the pool, the cluster centers, and the
+* ``none``: linear scans over the pool, the cluster centers, and the
   members of candidate clusters.
-* ``po-mtree``: a metric tree over the pool only; centers and members
-  scanned.
+* ``po-mtree``: a metric tree over the pool; centers and members scanned.
 * ``dual-mtree``: trees over both the pool and the cluster centers.
 
 The optional event queue re-checks an unsafe inlier exactly when its
@@ -28,8 +28,7 @@ from bisect import insort
 from collections import deque
 
 from ..core import (StreamObject, WindowConfig, is_outlier, key_limit,
-                    manhattan, prune_nn_before, sqdist, trim_nn_before,
-                    within)
+                    prune_nn_before, trim_nn_before, within)
 from ..indexes import LinearScanIndex, MTree
 from .common import PartitionOutput, SlideBatch
 
@@ -146,37 +145,30 @@ class MicroClusterProcessor:
 
     # -- backend query helpers ------------------------------------------------
 
-    def _key(self, a, b) -> float:
-        return sqdist(a, b) if self.cfg.metric == "euclidean" else manhattan(a, b)
-
     def _centers_within(self, value, radius) -> list:
         """(cid, comparison key) for clusters whose center is within radius."""
         self.counters["range_queries"] += 1
-        if isinstance(self.center_index, LinearScanIndex):
-            return self.center_index.query_comparable(value, radius)
-        return [(cid, self._key(value, self.clusters[cid].center))
-                for cid in self.center_index.query_ids(value, radius)]
+        return self.center_index.query_comparable(value, radius)
 
     def _pool_within(self, value, radius, keyed: bool = False) -> list:
         """Pool points within radius; (point, comparison key) pairs if ``keyed``."""
         self.counters["range_queries"] += 1
-        if isinstance(self.pool_index, LinearScanIndex):
+        if self.window_tree is None:
             if keyed:
                 return self.pool_index.query_comparable(value, radius)
             return self.pool_index.query_payloads(value, radius)
-        if self.window_tree is not None:
-            hits = [o for i in self.window_tree.query_ids(value, radius)
-                    if (o := self.objs[i]).mc_id is None]
-        else:
-            hits = [self.pool[i] for i in self.pool_index.query_ids(value, radius)]
-        return [(o, self._key(value, o.value)) for o in hits] if keyed else hits
+        if keyed:
+            return [e for e in self.window_tree.query_comparable(value, radius)
+                    if e[0].mc_id is None]
+        return [o for o in self.window_tree.query_payloads(value, radius)
+                if o.mc_id is None]
 
     def _members_within(self, value, radius, near) -> list:
         """Cluster members within radius; ``near`` lists every cluster whose
         center lies within ``radius + R/2`` (padded) of ``value``."""
         if self.window_tree is not None:
-            return [o for i in self.window_tree.query_ids(value, radius)
-                    if (o := self.objs[i]).mc_id is not None]
+            return [o for o in self.window_tree.query_payloads(value, radius)
+                    if o.mc_id is not None]
         out = []
         for cid, _ in near:
             out.extend(self.clusters[cid].members.query_payloads(value, radius))
@@ -187,10 +179,7 @@ class MicroClusterProcessor:
     def _pool_add(self, o: StreamObject) -> None:
         self.pool[o.id] = o
         if self.pool_index is not None:
-            if isinstance(self.pool_index, LinearScanIndex):
-                self.pool_index.add(o.id, o.value, payload=o)
-            else:
-                self.pool_index.add(o.id, o.value)
+            self.pool_index.add(o.id, o.value, payload=o)
 
     def _pool_remove(self, oid) -> None:
         del self.pool[oid]
@@ -315,7 +304,7 @@ class MicroClusterProcessor:
             self.objs[o.id] = o
             self._expiry.append((o.t, o.id))
             if self.window_tree is not None:
-                self.window_tree.add(o.id, o.value)
+                self.window_tree.add(o.id, o.value, payload=o)
             if in_pool and o.flag == 0:
                 fresh_pool.append(o.id)
 

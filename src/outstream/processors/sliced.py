@@ -10,7 +10,9 @@ resident that later drops below k extends forward one slide at a time,
 replacing the partial tally of each newly searched slide with the exact
 one.  Preceding slides that were never probed are always older than every
 alive slide by the time they could matter, so backward knowledge is
-complete for alive data.
+complete for alive data.  Each slide tree carries the object's
+`_SliceRec` as its payload, so a hit reaches its object and tallies
+without a further lookup.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ class SlicedWindowProcessor:
         self.partition = partition
         self.trees: dict = {}       # slide index -> MTree
         self.slide_ids: dict = {}   # slide index -> ids in arrival order
-        self.objs: dict = {}
-        self.recs: dict = {}
+        self.objs: dict = {}        # id -> _SliceRec
         self.triggers: dict = {}    # slide index -> ids that counted neighbors there
         self.unresolved: set = set()
         self.counters = {"backward_probes": 0, "forward_probes": 0}
@@ -61,14 +62,13 @@ class SlicedWindowProcessor:
             del self.trees[expiring]
             for oid in self.slide_ids.pop(expiring):
                 del self.objs[oid]
-                del self.recs[oid]
                 self.unresolved.discard(oid)
                 candidates.discard(oid)
             for oid in self.triggers.pop(expiring, ()):
-                o = self.objs.get(oid)
-                if o is not None:
-                    o.evil.pop(expiring, None)
-                    if o.flag == 0:
+                rec = self.objs.get(oid)
+                if rec is not None:
+                    rec.obj.evil.pop(expiring, None)
+                    if rec.obj.flag == 0:
                         candidates.add(oid)
 
         tree = MTree(metric=cfg.metric)
@@ -77,38 +77,34 @@ class SlicedWindowProcessor:
         self.slide_ids[u] = ids_u
         for o in batch.arrivals:
             o.evil = {}
-            found = tree.query_ids(o.value, cfg.R)
-            for nid in found:
-                n = self.objs[nid]
-                n.count_after += 1          # same-slide neighbors count both ways
+            found = tree.query_payloads(o.value, cfg.R)
+            for nrec in found:
+                nrec.obj.count_after += 1   # same-slide neighbors count both ways
             o.count_after += len(found)
             rec = _SliceRec(o, frontier=u)
             if o.flag == 0:
                 st = o.count_after
                 j = u - 1
                 while st < cfg.k and j in self.trees:
-                    hits = self.trees[j].query_ids(o.value, cfg.R)
+                    hits = self.trees[j].query_payloads(o.value, cfg.R)
                     self.counters["backward_probes"] += 1
                     if hits:
                         o.evil[j] = len(hits)
                         self.triggers.setdefault(j, []).append(o.id)
-                        for nid in hits:
-                            n = self.objs[nid]
-                            n.count_after += 1
-                            nrec = self.recs[nid]
+                        for nrec in hits:
+                            nrec.obj.count_after += 1
                             nrec.succ[u] = nrec.succ.get(u, 0) + 1
                         st += len(hits)
                     j -= 1
-            self.objs[o.id] = o
-            self.recs[o.id] = rec
-            tree.add(o.id, o.value)
+            self.objs[o.id] = rec
+            tree.add(o.id, o.value, payload=rec)
             ids_u.append(o.id)
 
         for oid in candidates:
-            o = self.objs.get(oid)
-            if o is None or o.flag != 0 or o.count_after >= cfg.k:
+            rec = self.objs[oid]     # expired ids already left the candidates
+            o = rec.obj
+            if o.flag != 0 or o.count_after >= cfg.k:
                 continue
-            rec = self.recs[oid]
             st = self._status(o, oldest_alive)
             while st < cfg.k and rec.frontier < u:
                 f = rec.frontier + 1
@@ -123,7 +119,8 @@ class SlicedWindowProcessor:
         outliers = set()
         unresolved = set()
         alive = 0
-        for oid, o in self.objs.items():
+        for oid, rec in self.objs.items():
+            o = rec.obj
             if o.flag != 0:
                 continue
             alive += 1

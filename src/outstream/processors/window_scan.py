@@ -4,7 +4,7 @@ One processor class covers three of the algorithm variants, differing in
 two orthogonal knobs:
 
 * ``index``: ``"linear"`` scans the whole partition window per arrival,
-  ``"mtree"`` answers the same range queries from a metric tree.
+  ``"mtree"`` asks a metric tree; both answer through `outstream.indexes`.
 * ``replicated``: full replication (every partition sees every arrival,
   replicas are evicted after their slide, results need the meta-window
   merge) versus value routing (replicas live out their natural lifetime,
@@ -35,7 +35,6 @@ class WindowScanProcessor:
         self.cfg = cfg
         self.partition = partition
         self.replicated = replicated
-        self.index_kind = index
         self.objs: dict = {}
         self.index = (LinearScanIndex(cfg.dims, cfg.metric) if index == "linear"
                       else MTree(metric=cfg.metric))
@@ -43,11 +42,6 @@ class WindowScanProcessor:
         self._po: set = set()                 # flag-0 ids not yet safe
 
     # -- helpers -------------------------------------------------------------
-
-    def _neighbors(self, value) -> list:
-        if self.index_kind == "linear":
-            return self.index.query_payloads(value, self.cfg.R)
-        return [self.objs[i] for i in self.index.query_ids(value, self.cfg.R)]
 
     def _drop(self, oid) -> None:
         del self.objs[oid]
@@ -62,13 +56,10 @@ class WindowScanProcessor:
             self._drop(self._expiry_queue.popleft()[1])
 
         for o in batch.arrivals:
-            neighbors = self._neighbors(o.value)
+            neighbors = self.index.query_payloads(o.value, cfg.R)
             apply_arrival(o, neighbors, batch.slide_start, cfg.k, self.replicated)
             self.objs[o.id] = o
-            if self.index_kind == "linear":
-                self.index.add(o.id, o.value, payload=o)
-            else:
-                self.index.add(o.id, o.value)
+            self.index.add(o.id, o.value, payload=o)
             if o.flag == 0 or not self.replicated:
                 self._expiry_queue.append((o.t, o.id))
             if o.flag == 0:

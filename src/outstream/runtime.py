@@ -40,7 +40,7 @@ DEFAULT_SAMPLE_SIZE = 10_000
 
 @dataclass(frozen=True)
 class StreamSource:
-    """Ordered object sequence: ids, finite coordinate rows, and integer ticks."""
+    """Ordered object sequence: unique ids, finite coordinate rows, and integer ticks."""
 
     ids: np.ndarray
     values: np.ndarray
@@ -57,6 +57,12 @@ class StreamSource:
         if not finite.all():
             i = int(finite.argmin())
             raise ValueError(f"row {i}: non-finite value {vals[i].tolist()}")
+        _, first = np.unique(self.ids, return_index=True)
+        if len(first) < len(self.ids):
+            repeat = np.ones(len(self.ids), dtype=bool)
+            repeat[first] = False
+            i = int(repeat.argmax())
+            raise ValueError(f"row {i}: id {self.ids[i]} repeats an earlier row's id")
         if len(self.ts) and np.any(np.diff(self.ts) < 0):
             raise ValueError("timestamps must be non-decreasing")
 

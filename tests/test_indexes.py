@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outstream import LinearScanIndex, MTree, VPTree, range_query
-from outstream.core import distance, within, within_mask
+from outstream.core import distance, manhattan, sqdist, within, within_mask
 
 
 def fill(index, points, payload=False):
@@ -39,6 +39,13 @@ class TestLinearScan:
         with pytest.raises(ValueError):
             LinearScanIndex(1).remove(7)
 
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_point_of_another_dimensionality_rejected(self, point):
+        idx = LinearScanIndex(2)
+        with pytest.raises(ValueError, match="dimensionality"):
+            idx.add(5, point)
+        assert len(idx) == 0 and idx.query_ids((1.0, 1.0), 10.0) == []
+
     def test_compaction_keeps_survivors(self):
         idx = LinearScanIndex(1)
         for i in range(500):
@@ -56,6 +63,22 @@ class TestMTree:
 
     def test_empty_tree(self):
         assert range_query(MTree(), (3.0,), 100.0) == set()
+
+    def test_centre_dimensionality_mismatch_rejected(self):
+        tree = fill(MTree(), [(0.0, 0.0), (0.0, 5.0), (3.0, 9.0)])
+        for query in (tree.query_ids, tree.query_payloads, tree.query_comparable):
+            for center in ((0.0,), (0.0, 0.0, 0.0)):
+                with pytest.raises(ValueError, match="dimensionality"):
+                    query(center, 1.0)
+
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_point_of_another_dimensionality_rejected(self, point):
+        tree = fill(MTree(), [(0.0, 0.0), (0.0, 5.0)])
+        with pytest.raises(ValueError, match="dimensionality"):
+            tree.add(5, point)
+        assert 5 not in tree and len(tree) == 2
+        assert sorted(tree.query_payloads((0.0, 0.0), 10.0)) == [0, 1]
+        tree.check_invariants()
 
     def test_random_points_match_linear_scan(self):
         rng = np.random.default_rng(5)
@@ -287,44 +310,51 @@ def test_points_exactly_on_the_radius_agree_everywhere(dims, metric):
     # many points sit exactly on the closed ball's boundary
     rng = np.random.default_rng(dims)
     pts = [tuple(map(float, row)) for row in rng.integers(-3, 4, size=(600, dims))]
-    idx = LinearScanIndex(dims, metric=metric)
-    for i, p in enumerate(pts):
-        idx.add(i, p, payload=("obj", i))
-    order = list(range(len(pts)))        # live ids in insertion order
+    key = sqdist if metric == "euclidean" else manhattan
+    for idx in (LinearScanIndex(dims, metric=metric), MTree(metric=metric)):
+        linear = isinstance(idx, LinearScanIndex)
+        # the scan returns hits in insertion order, the tree in tree order
+        ordered = list if linear else sorted
+        for i, p in enumerate(pts):
+            idx.add(i, p, payload=("obj", i))
+        order = list(range(len(pts)))        # live ids in insertion order
 
-    def check():
-        on_edge = 0
-        for center in pts[:25]:
-            for radius in (0.0, 1.0, 2.0, 3.0):
-                want = [i for i in order if within(pts[i], center, radius, metric)]
-                on_edge += sum(distance(pts[i], center, metric) == radius for i in want)
-                mask = within_mask(np.array(pts), center, radius, metric)
-                assert [i for i in order if mask[i]] == want
-                assert idx.query_ids(center, radius) == want
-                assert idx.query_payloads(center, radius) == [("obj", i) for i in want]
-                got = idx.query_comparable(center, radius)
-                assert [e for e, _ in got] == [("obj", i) for i in want]
-                assert all(type(key) is float for _, key in got)
-        assert on_edge > 0
+        def check():
+            on_edge = 0
+            for center in pts[:25]:
+                for radius in (0.0, 1.0, 2.0, 3.0):
+                    want = [i for i in order if within(pts[i], center, radius, metric)]
+                    on_edge += sum(distance(pts[i], center, metric) == radius for i in want)
+                    mask = within_mask(np.array(pts), center, radius, metric)
+                    assert [i for i in order if mask[i]] == want
+                    assert ordered(idx.query_ids(center, radius)) == ordered(want)
+                    assert (ordered(idx.query_payloads(center, radius))
+                            == ordered([("obj", i) for i in want]))
+                    got = idx.query_comparable(center, radius)
+                    assert ordered(got) == ordered([(("obj", i), key(center, pts[i]))
+                                                    for i in want])
+                    assert all(type(k) is float for _, k in got)
+            assert on_edge > 0
 
-    def drop(ids):
-        for i in ids:
-            idx.remove(i)
-            order.remove(i)
+        def drop(ids):
+            for i in ids:
+                idx.remove(i)
+                order.remove(i)
 
-    check()
-    drop(range(0, 600, 11))              # dead rows, below the compaction trigger
-    assert idx._dead > 0
-    check()
-    drop([i for i in range(1, 600, 2) if i in order])   # enough to compact
-    assert idx._n < len(pts)
-    check()
-    idx.add(1, pts[1], payload=("obj", 1))   # a re-added id goes last
-    order.append(1)
-    check()
+        check()
+        drop(range(0, 600, 11))              # dead rows, below the compaction trigger
+        assert not linear or idx._dead > 0
+        check()
+        drop([i for i in range(1, 600, 2) if i in order])   # enough to compact
+        assert not linear or idx._n < len(pts)
+        check()
+        idx.add(1, pts[1], payload=("obj", 1))   # a re-added id goes last
+        order.append(1)
+        check()
 
 
 def test_payload_queries_fall_back_to_ids_without_payloads():
-    idx = fill(LinearScanIndex(2), [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)])
-    assert idx.query_payloads((0.0, 0.0), 5.0) == [0, 1]
-    assert idx.query_comparable((0.0, 0.0), 5.0) == [(0, 0.0), (1, 25.0)]
+    for index in (LinearScanIndex(2), MTree()):
+        idx = fill(index, [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)])
+        assert sorted(idx.query_payloads((0.0, 0.0), 5.0)) == [0, 1]
+        assert sorted(idx.query_comparable((0.0, 0.0), 5.0)) == [(0, 0.0), (1, 25.0)]

@@ -51,6 +51,13 @@ class TestArtificialTimestamps:
         with pytest.raises(ValueError, match="row 3"):
             StreamSource(ids=np.arange(5), values=vals, ts=np.arange(5))
 
+    def test_duplicate_ids_rejected_naming_the_first_repeat(self):
+        ids = np.arange(200)
+        ids[50] = 49
+        ids[120] = 7
+        with pytest.raises(ValueError, match=r"row 50: id 49 repeats"):
+            StreamSource(ids=ids, values=np.zeros((200, 1)), ts=np.arange(200) // 10)
+
     @pytest.mark.parametrize("vals", [np.zeros(4), np.zeros((4, 1, 1)),
                                       [[0.0]] * 4, np.array([["a"]] * 4)])
     def test_values_must_be_a_2d_numeric_array(self, vals):
