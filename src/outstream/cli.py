@@ -13,8 +13,8 @@ from .datasets import (DatasetSpec, GaussianMixtureSpec, generate_gaussian_value
                        read_csv_values)
 from .oracle import check_against_oracle
 from .runtime import (ALGORITHMS, PARTITIONERS, TopologyConfig,
-                      assign_artificial_timestamps, count_window_config,
-                      run_topology)
+                      assign_artificial_timestamps, build_partition_spec,
+                      count_window_config, run_routed)
 from .processors import BACKENDS, QUEUE_FLAVORS
 
 
@@ -139,8 +139,12 @@ def main(argv=None) -> int:
                               partition_seed=args.seed)
     except ValueError as exc:
         return _usage_error(str(exc))
+    try:
+        spec = build_partition_spec(source, topo)
+    except ValueError as exc:     # e.g. a degenerate sample for the grid or VP-tree
+        return _usage_error(str(exc))
 
-    result = run_topology(source, topo)
+    result = run_routed(source, topo, spec)
     config_echo = {
         "algorithm": algorithm, "partitioning": args.partitioning,
         "W": args.W, "S": s_count, "R": args.R, "k": args.k,

@@ -150,29 +150,35 @@ class MicroClusterProcessor:
         self.counters["range_queries"] += 1
         return self.center_index.query_comparable(value, radius)
 
-    def _pool_within(self, value, radius, keyed: bool = False) -> list:
-        """Pool points within radius; (point, comparison key) pairs if ``keyed``."""
+    def _pool_within(self, value, radius) -> list:
+        """Pool points within radius."""
         self.counters["range_queries"] += 1
         if self.window_tree is None:
-            if keyed:
-                return self.pool_index.query_comparable(value, radius)
             return self.pool_index.query_payloads(value, radius)
-        if keyed:
-            return [e for e in self.window_tree.query_comparable(value, radius)
-                    if e[0].mc_id is None]
         return [o for o in self.window_tree.query_payloads(value, radius)
                 if o.mc_id is None]
 
-    def _members_within(self, value, radius, near) -> list:
-        """Cluster members within radius; ``near`` lists every cluster whose
-        center lies within ``radius + R/2`` (padded) of ``value``."""
+    def _neighbors_within(self, value, radius, near) -> tuple:
+        """(point, comparison key) pairs of the pool points within radius,
+        and the cluster members within radius; ``near`` lists every cluster
+        whose center lies within ``radius + R/2`` (padded) of ``value``.
+
+        The window tree answers both from one query, split by ``mc_id``.
+        """
+        self.counters["range_queries"] += 1
         if self.window_tree is not None:
-            return [o for o in self.window_tree.query_payloads(value, radius)
-                    if o.mc_id is not None]
-        out = []
+            pool_hits, members = [], []
+            for e in self.window_tree.query_comparable(value, radius):
+                if e[0].mc_id is None:
+                    pool_hits.append(e)
+                else:
+                    members.append(e[0])
+            return pool_hits, members
+        pool_hits = self.pool_index.query_comparable(value, radius)
+        members = []
         for cid, _ in near:
-            out.extend(self.clusters[cid].members.query_payloads(value, radius))
-        return out
+            members.extend(self.clusters[cid].members.query_payloads(value, radius))
+        return pool_hits, members
 
     # -- structure transitions -------------------------------------------------
 
@@ -235,13 +241,12 @@ class MicroClusterProcessor:
             self._join(best[0], o)
             return False
 
-        pool_hits = self._pool_within(o.value, cfg.R, keyed=True)
+        pool_hits, members = self._neighbors_within(o.value, cfg.R, near)
         others = [c for c, _ in pool_hits if c is not o]
         if update_neighbors:
             self._count_arrival(others, touched)
         own_slide_start = (o.t // cfg.S) * cfg.S
-        ts = [c.t for c in others]
-        ts += [c.t for c in self._members_within(o.value, cfg.R, near)]
+        ts = [c.t for c in others] + [c.t for c in members]
         before = [t for t in ts if t < own_slide_start]
         o.count_after = len(ts) - len(before)
         o.nn_before = trim_nn_before(before, cfg.k)

@@ -1,9 +1,12 @@
 """Time-sliced slide processor: one metric tree per alive slide.
 
-Arrivals probe their own slide's tree first and then walk preceding
-slides newest-first, stopping as soon as k neighbors are known (minimal
-probing).  Neighbor counts per preceding slide live in the object's
-``evil`` map; counts from the object's own and succeeding slides live in
+Each slide's tree is built by one ``add_batch`` call, whose per-arrival
+answers are the same-slide neighbors that arrived earlier.  Then, in
+arrival order, every arrival counts those and walks preceding slides
+newest-first, stopping as soon as k neighbors are known (minimal
+probing); backward and forward probes are single-centre queries.
+Neighbor counts per preceding slide live in the object's ``evil`` map;
+counts from the object's own and succeeding slides live in
 ``count_after``.  Succeeding-slide knowledge can be partial: newcomers
 probing backwards report themselves to the residents they find, and a
 resident that later drops below k extends forward one slide at a time,
@@ -73,15 +76,17 @@ class SlicedWindowProcessor:
 
         tree = MTree(metric=cfg.metric)
         self.trees[u] = tree
-        ids_u: list = []
-        self.slide_ids[u] = ids_u
-        for o in batch.arrivals:
+        arrivals = batch.arrivals
+        self.slide_ids[u] = [o.id for o in arrivals]
+        recs = [_SliceRec(o, frontier=u) for o in arrivals]
+        same_slide = tree.add_batch(self.slide_ids[u], [o.value for o in arrivals],
+                                    recs, cfg.R)
+        for rec, found in zip(recs, same_slide):
+            o = rec.obj
             o.evil = {}
-            found = tree.query_payloads(o.value, cfg.R)
             for nrec in found:
                 nrec.obj.count_after += 1   # same-slide neighbors count both ways
             o.count_after += len(found)
-            rec = _SliceRec(o, frontier=u)
             if o.flag == 0:
                 st = o.count_after
                 j = u - 1
@@ -97,8 +102,6 @@ class SlicedWindowProcessor:
                         st += len(hits)
                     j -= 1
             self.objs[o.id] = rec
-            tree.add(o.id, o.value, payload=rec)
-            ids_u.append(o.id)
 
         for oid in candidates:
             rec = self.objs[oid]     # expired ids already left the candidates

@@ -5,6 +5,11 @@ two orthogonal knobs:
 
 * ``index``: ``"linear"`` scans the whole partition window per arrival,
   ``"mtree"`` asks a metric tree; both answer through `outstream.indexes`.
+  Each slide's arrivals go to the index in one ``add_batch`` call, which
+  gives every arrival its neighbours among the window and the slide's
+  earlier arrivals (the M-tree in one walk of the tree, the scan one
+  arrival at a time); the metadata updates then run in arrival order.
+  ``counters["range_queries"]`` counts one query per arrival.
 * ``replicated``: full replication (every partition sees every arrival,
   replicas are evicted after their slide, results need the meta-window
   merge) versus value routing (replicas live out their natural lifetime,
@@ -40,6 +45,7 @@ class WindowScanProcessor:
                       else MTree(metric=cfg.metric))
         self._expiry_queue: deque = deque()   # (t, id) of objects that expire by time
         self._po: set = set()                 # flag-0 ids not yet safe
+        self.counters = {"range_queries": 0}
 
     # -- helpers -------------------------------------------------------------
 
@@ -55,11 +61,13 @@ class WindowScanProcessor:
         while self._expiry_queue and self._expiry_queue[0][0] < batch.expiry:
             self._drop(self._expiry_queue.popleft()[1])
 
-        for o in batch.arrivals:
-            neighbors = self.index.query_payloads(o.value, cfg.R)
+        arrivals = batch.arrivals
+        found = self.index.add_batch([o.id for o in arrivals], [o.value for o in arrivals],
+                                     arrivals, cfg.R)
+        self.counters["range_queries"] += len(arrivals)
+        for o, neighbors in zip(arrivals, found):
             apply_arrival(o, neighbors, batch.slide_start, cfg.k, self.replicated)
             self.objs[o.id] = o
-            self.index.add(o.id, o.value, payload=o)
             if o.flag == 0 or not self.replicated:
                 self._expiry_queue.append((o.t, o.id))
             if o.flag == 0:
@@ -73,7 +81,8 @@ class WindowScanProcessor:
             for o in batch.arrivals:
                 if o.flag:
                     self._drop(o.id)
-            return PartitionOutput(forwards=forwards, alive=alive)
+            return PartitionOutput(forwards=forwards, alive=alive,
+                                   counters=dict(self.counters))
 
         outliers = set()
         for oid in list(self._po):
@@ -82,7 +91,8 @@ class WindowScanProcessor:
                 self._po.discard(oid)
             elif is_outlier(o, batch.expiry, cfg.k):
                 outliers.add(oid)
-        return PartitionOutput(outliers=outliers, alive=alive)
+        return PartitionOutput(outliers=outliers, alive=alive,
+                               counters=dict(self.counters))
 
 
 class MetaWindow:

@@ -202,7 +202,16 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def build_partition_spec(source: StreamSource, topo: TopologyConfig):
+    """The topology's router, built from the source's first ``sample_size``
+    objects; None for random routing.
+
+    Raises:
+        ValueError: if the source's dimensionality is not the window
+            config's, or the sample cannot support the router.
+    """
     cfg = topo.window
+    if source.dims != cfg.dims:
+        raise ValueError(f"source has {source.dims} dims, the window config {cfg.dims}")
     if topo.partitioner == "random":
         return None
     sample = source.values[: min(source.n, topo.sample_size)]
@@ -334,10 +343,13 @@ class _ProcessWorkers:
 def run_topology(source: StreamSource, topo: TopologyConfig,
                  slides: int | None = None, warmup: int = 5) -> RunResult:
     """Run the topology slide by slide from the first object's; ``slides`` caps the count."""
+    return run_routed(source, topo, build_partition_spec(source, topo), slides, warmup)
+
+
+def run_routed(source: StreamSource, topo: TopologyConfig, spec,
+               slides: int | None = None, warmup: int = 5) -> RunResult:
+    """`run_topology` with the router ``spec`` from `build_partition_spec`."""
     cfg = topo.window
-    if source.dims != cfg.dims:
-        raise ValueError(f"source has {source.dims} dims, the window config {cfg.dims}")
-    spec = build_partition_spec(source, topo)
     meta = MetaWindow(cfg) if topo.needs_meta_window else None
     workers = None
     pool = None

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from outstream import (DatasetSpec, GaussianMixtureSpec, TopologyConfig,
-                       assign_artificial_timestamps, brute_force_oracle,
-                       check_against_oracle, count_window_config,
-                       generate_gaussian_values, read_csv_stream,
-                       read_csv_values, run_topology)
+from outstream import (DatasetSpec, GaussianMixtureSpec, MicroClusterProcessor,
+                       TopologyConfig, assign_artificial_timestamps,
+                       brute_force_oracle, check_against_oracle,
+                       count_window_config, generate_gaussian_values,
+                       read_csv_stream, read_csv_values, run_topology)
 from outstream.bench import RunRecord, load_run_record, write_run_record
 from outstream.cli import main, parse_slide
 
@@ -203,3 +203,33 @@ class TestCli:
                    "--S", "25%", "--R", "0.3", "--k", "3", "--slides", "16",
                    "--verify"])
         assert rc == 0
+
+    def run_dataset(self, tmp_path, values, partitioning):
+        path = tmp_path / "stream.csv"
+        np.savetxt(path, values, delimiter=",")
+        return main(["--algorithm", "pmcod", "--partitioning", partitioning,
+                     "--partitions", "4", "--dataset", str(path), "--W", "100",
+                     "--S", "25%", "--R", "0.3", "--k", "3", "--slides", "16"])
+
+    def test_constant_column_for_the_grid_is_usage_error(self, tmp_path, capsys):
+        values = np.column_stack([0.01 * np.arange(400), np.full(400, 5.0)])
+        assert self.run_dataset(tmp_path, values, "grid") == 2
+        err = capsys.readouterr().err
+        assert err == ("error: degenerate sample in dimension 1: cannot place 1 "
+                       "distinct quantile cuts (spread=0.0)\n")
+
+    def test_duplicate_heavy_sample_for_the_vptree_is_usage_error(self, tmp_path, capsys):
+        values = np.ones((400, 2))
+        values[::40] = np.random.default_rng(0).normal(0, 1, size=(10, 2))
+        assert self.run_dataset(tmp_path, values, "vptree") == 2
+        assert capsys.readouterr().err == (
+            "error: tree too shallow for level 2; grow the build sample\n")
+
+    def test_worker_failures_are_not_usage_errors(self, tmp_path, monkeypatch):
+        def fail(self, batch):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(MicroClusterProcessor, "process_slide", fail)
+        values = np.random.default_rng(1).normal(0, 1, size=(400, 2))
+        with pytest.raises(RuntimeError, match="worker failed at slide 0, partition 0"):
+            self.run_dataset(tmp_path, values, "grid")

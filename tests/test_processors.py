@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from outstream import (EventQueue, MicroClusterProcessor, StreamObject,
+from outstream import (EventQueue, MTree, MicroClusterProcessor, StreamObject,
                        TopologyConfig, WindowConfig,
                        assign_artificial_timestamps, brute_force_oracle,
                        build_grid, check_against_oracle, count_window_config,
@@ -252,6 +252,20 @@ class TestMicroCluster:
         other = run_exact(small_stream, 60, 12, 0.5, 3, "pmcod", "grid", 3,
                           flavor_backend=backend)
         assert base.digests() == other.digests()
+
+    def test_full_mtree_placement_queries_the_window_tree_once(self, small_stream,
+                                                               monkeypatch):
+        calls = []
+        original = MTree.query_ids
+
+        def spy(self, center, radius):
+            calls.append((id(self), tuple(center), radius))
+            return original(self, center, radius)
+
+        monkeypatch.setattr(MTree, "query_ids", spy)
+        run_exact(small_stream, 60, 12, 0.5, 3, "pmcod", "grid", 3,
+                  flavor_backend="full-mtree")
+        assert calls and all(a != b for a, b in zip(calls, calls[1:]))
 
     @pytest.mark.parametrize("queue", ["heap", "ordered"])
     def test_event_queue_neutrality(self, small_stream, queue):

@@ -256,6 +256,19 @@ class TestRunTopology:
         assert counters[0]["range_queries"] > 0
         assert counters[0] == counters[1]
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("algorithm, partitioner", [
+        ("naive", "random"), ("advanced", "random"), ("advanced", "grid")])
+    def test_window_scan_queries_once_per_delivered_copy(self, small_stream, algorithm,
+                                                         partitioner, backend):
+        src = assign_artificial_timestamps(small_stream, 60, 12)
+        cfg = count_window_config(60, 12, R=0.5, k=3, dims=1, partitions=3)
+        topo = TopologyConfig(window=cfg, algorithm=algorithm, partitioner=partitioner,
+                              worker_backend=backend, sample_size=300)
+        res = run_topology(src, topo)
+        assert res.counters == {
+            "range_queries": sum(r.delivered for r in res.reports)}
+
     @pytest.mark.parametrize("algorithm, partitioner, partitions, backend", [
         ("baseline", "random", 1, "thread"),
         ("pmcod", "grid", 2, "thread"),
