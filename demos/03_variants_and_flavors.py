@@ -1,7 +1,7 @@
 """Every detector variant produces the same outliers; only the cost differs.
 
 The same seeded gaussian stream runs through the naive replicated
-solution, the metric-tree variants (with and without per-slide time
+solution, the advanced variants (with and without per-slide time
 slicing), and the micro-cluster detector in its four neighbor-search
 flavors.  All report sequences are identical; the table shows what each
 one paid per slide.
@@ -16,8 +16,8 @@ values = generate_gaussian_values(GaussianMixtureSpec(dims=1, seed=11), 8_000)
 
 configs = [
     ("naive (full replication)", "naive", "random", {}),
-    ("advanced (m-tree, meta-window)", "advanced", "random", {}),
-    ("advanced (m-tree, grid)", "advanced", "grid", {}),
+    ("advanced (scan, meta-window)", "advanced", "random", {}),
+    ("advanced (scan, grid)", "advanced", "grid", {}),
     ("advanced + time slicing", "advanced-sliced", "grid", {}),
     ("pmcod full-mtree", "pmcod", "grid", {"flavor_backend": "full-mtree"}),
     ("pmcod plain scans", "pmcod", "grid", {}),

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor-queue", choices=QUEUE_FLAVORS, default="none",
                    help="pmcod event queue flavor")
     p.add_argument("--slicing", choices=("on", "off"), default="off",
-                   help="per-slide index trees (advanced algorithm only)")
+                   help="one index per slide (advanced algorithm only)")
     p.add_argument("--dataset", default=None, help="CSV file to stream")
     p.add_argument("--gaussian", action="store_true",
                    help="use the bundled gaussian mixture generator")

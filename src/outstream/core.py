@@ -9,11 +9,10 @@ here: ``count_after`` counts neighbors from the same or a later slide,
 Floating-point policy: neighbor membership is always decided by comparing
 squared euclidean distances against ``R * R`` (or plain sums for the
 manhattan metric), with summation running left to right over coordinates.
-The scalar kernels (`sqdist`, `manhattan`) and the vectorized ones
-(`column_keys`, column sums, left to right, at any d, and `pairwise_keys`,
-its many-centre block form) add the same terms in the same order, as does
-the brute-force oracle, so engine and oracle agree bit for bit.  No
-epsilons anywhere in the membership test.
+The scalar kernels (`sqdist`, `manhattan`) and the vectorized one
+(`column_keys`, column sums, left to right, at any d) add the same terms
+in the same order, as does the brute-force oracle, so engine and oracle
+agree bit for bit.  No epsilons anywhere in the membership test.
 """
 
 from __future__ import annotations
@@ -107,17 +106,6 @@ def column_keys(cols: np.ndarray, center, metric: str = "euclidean") -> np.ndarr
             np.abs(t, out=t)
         acc += t
     return acc
-
-
-def pairwise_keys(a: np.ndarray, b: np.ndarray,
-                  metric: str = "euclidean") -> np.ndarray:
-    """Comparison key of every column of ``a`` (dims x m) to every column of
-    ``b`` (dims x n), as an m x n block.
-
-    The same per-dimension, left-to-right sums as `column_keys`, so entry
-    ``[i, j]`` equals `sqdist` or `manhattan` of the two points bit for bit.
-    """
-    return column_keys(b, a[:, :, None], metric)
 
 
 def within_mask(matrix: np.ndarray, center, radius: float,

@@ -8,34 +8,20 @@ only widen a search, never drop a qualifying point; membership itself is
 decided by the exact shared predicate from `outstream.core`.
 
 `LinearScanIndex` and `MTree` share one protocol: ``add(oid, value,
-payload=None)`` (the payload defaults to the id), ``remove(oid)``, the
+payload=None)`` (the payload defaults to the id), ``remove(oid)``, and the
 range queries ``query_ids``, ``query_payloads`` and ``query_comparable``,
 whose (payload, key) pairs carry `sqdist` (euclidean) or `manhattan` bit
-for bit, so a key compared with `key_limit` decides as `within` does, and
-``add_batch(oids, values, payloads, radius)``, which returns, per new
-point, the payloads of its neighbours among everything stored before it,
-and then stores the points in input order.  A point or centre of another
-dimensionality raises ``ValueError``; the M-tree takes its dimensionality
-from its first point.  The scan returns hits in insertion order, the
-M-tree in tree order (and, in ``add_batch``, the batch's own points after
-the tree's, in arrival order).
+for bit, so a key compared with `key_limit` decides as `within` does.  A
+point or centre of another dimensionality raises ``ValueError``; the
+M-tree takes its dimensionality from its first point.  The scan returns
+hits in insertion order, the M-tree in tree order.
 
-The M-tree has two traversals.  `MTree._search` follows one centre; every
-single-centre query uses it, as do callers that insert between queries
-(pMCOD's tree backends, the sliced variant's probes).  `MTree._search_batch`
-walks the tree once for a block of centres: each visited node's entries
-become one ``dims x entries`` array, compared with every centre still
-descending there through one `outstream.core.pairwise_keys` block under
-the same ``radius + radii + _SLOP`` and parent-distance bounds, so each
-centre gets the ids `_search` would give, in the same order.
-``MTree.add_batch`` uses it, takes the batch's own strict lower triangle
-from the same kernel and inserts in arrival order, so the tree's shape is
-the sequential loop's.  The scalar traversal stays for the interleaved
-callers: on a 600-point 3-d tree (R = 1.9) a batch of one took about three
-times as long as a scalar query (630 against 200 us), while a batch of 40
-took 38 us per centre and one of 500 took 14.  `LinearScanIndex.add_batch`
-is the query-then-add loop: answering a slide's arrivals as one block made
-the naive variant about 8 % slower, as its hits, not its scans, dominate.
+`LinearScanIndex.add_batch(oids, values, payloads, radius)` returns, per
+new point, the payloads of its neighbours among everything stored before
+it, and then stores the points in input order: the query-then-add loop.
+The window-scan and sliced processors fill their stores with it.  The
+pure-Python M-tree lost to the scan on every stream measured, so it keeps
+only the one-point protocol, for pMCOD's tree backends.
 
 The linear scan stores coordinates column-major and answers every query
 with `outstream.core.column_keys`: column sums, left to right, at any d,
@@ -53,8 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (column_keys, distance, key_limit, manhattan, pairwise_keys,
-                   sqdist, within)
+from .core import column_keys, distance, key_limit, manhattan, sqdist, within
 
 # Pruning tolerance (conservative side only, see module docstring).
 _SLOP = 1e-9
@@ -386,68 +371,6 @@ class MTree:
             d = self._dist(center, pivot)
             if d <= bound:
                 self._search(node.children[i], center, radius, d, out)
-
-    def add_batch(self, oids, values, payloads, radius) -> list:
-        """Per new point, the payloads within ``radius`` among everything
-        stored before it; the points are then stored in order.
-
-        One `_search_batch` over the tree answers every point (hits in tree
-        order), followed by the batch's own earlier points (arrival order).
-        """
-        if self.dims is None and len(values):
-            self.dims = len(values[0])
-        points = [_as_point(v, self.dims) for v in values]
-        found: list = [[] for _ in points]
-        if not points:
-            return found
-        cols = np.array(points).T
-        radius = float(radius)
-        if self._leaf_of:
-            payload_of = self._payload_of
-            for out, ids in zip(found, self._search_batch(cols, radius)):
-                out.extend([payload_of[i] for i in ids])
-        payloads = [oid if p is None else p for oid, p in zip(oids, payloads)]
-        close = pairwise_keys(cols, cols, self.metric) <= key_limit(radius, self.metric)
-        rows, earlier = np.tril(close, -1).nonzero()
-        for i, j in zip(rows.tolist(), earlier.tolist()):
-            found[i].append(payloads[j])
-        for oid, point, payload in zip(oids, points, payloads):
-            self.add(oid, point, payload)
-        return found
-
-    def _search_batch(self, cols, radius) -> list:
-        """Ids within ``radius`` of each column of ``cols`` (dims x m), each
-        list in the order `query_ids` gives it, from one walk of the tree.
-
-        Every visited node's entries become one ``dims x entries`` array,
-        compared with all the centres still descending there through one
-        `pairwise_keys` block and the bounds `_search` applies.
-        """
-        out: list = [[] for _ in range(cols.shape[1])]
-        self._search_block(self._root, np.arange(cols.shape[1]), cols, radius, None, out)
-        return out
-
-    def _search_block(self, node, who, cols, radius, d_parent, out) -> None:
-        keys = pairwise_keys(cols, np.array(node.points).T, self.metric)
-        if node.leaf:
-            ok = keys <= key_limit(radius, self.metric)
-            if d_parent is not None:
-                ok &= np.abs(d_parent[:, None] - node.pdists) <= radius + _SLOP
-            ids = node.ids
-            rows, hits = ok.nonzero()
-            for r, h in zip(who[rows].tolist(), hits.tolist()):
-                out[r].append(ids[h])
-            return
-        dists = np.sqrt(keys, out=keys) if self.metric == "euclidean" else keys
-        bound = radius + np.array(node.radii) + _SLOP
-        ok = dists <= bound
-        if d_parent is not None:
-            ok &= np.abs(d_parent[:, None] - node.pdists) <= bound
-        for i, child in enumerate(node.children):
-            sel = ok[:, i].nonzero()[0]
-            if len(sel):
-                self._search_block(child, who[sel], cols[:, sel], radius,
-                                   dists[sel, i], out)
 
     # -- introspection (tests) ----------------------------------------------
 

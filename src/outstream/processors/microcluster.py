@@ -133,6 +133,7 @@ class MicroClusterProcessor:
         self.clusters: dict = {}
         self._next_cid = 0
         self._expiry: deque = deque()   # (t, id) in arrival order
+        self._alive = 0                 # flag-0 objects in ``objs``
         self.window_tree = MTree(metric=cfg.metric) if plan["window_tree"] else None
         self.pool_index = (MTree(metric=cfg.metric) if plan["pool_tree"]
                            else None if plan["window_tree"]
@@ -280,6 +281,8 @@ class MicroClusterProcessor:
         while self._expiry and self._expiry[0][0] < batch.expiry:
             _, oid = self._expiry.popleft()
             o = self.objs.pop(oid)
+            if o.flag == 0:
+                self._alive -= 1
             if o.mc_id is not None:
                 self.clusters[o.mc_id].members.remove(oid)
                 shrunk.add(o.mc_id)
@@ -307,6 +310,8 @@ class MicroClusterProcessor:
         for o in batch.arrivals:
             in_pool = self._place(o, touched, update_neighbors=True)
             self.objs[o.id] = o
+            if o.flag == 0:
+                self._alive += 1
             self._expiry.append((o.t, o.id))
             if self.window_tree is not None:
                 self.window_tree.add(o.id, o.value, payload=o)
@@ -348,8 +353,7 @@ class MicroClusterProcessor:
 
         if self.validate:
             self._check_invariants(batch)
-        alive = sum(1 for o in self.objs.values() if o.flag == 0)
-        return PartitionOutput(outliers=outliers, alive=alive,
+        return PartitionOutput(outliers=outliers, alive=self._alive,
                                counters=dict(self.counters))
 
     # -- invariants (validation mode) ---------------------------------------------
@@ -371,3 +375,5 @@ class MicroClusterProcessor:
         assert not (member_ids & pool_ids), "pool and clusters overlap"
         assert member_ids | pool_ids == set(self.objs), \
             "clusters plus pool do not cover the active points"
+        assert self._alive == sum(1 for o in self.objs.values() if o.flag == 0), \
+            "running alive count out of step"

@@ -1,6 +1,6 @@
-"""Time-sliced slide processor: one metric tree per alive slide.
+"""Time-sliced slide processor: one linear-scan store per alive slide.
 
-Each slide's tree is built by one ``add_batch`` call, whose per-arrival
+Each slide's store is filled by one ``add_batch`` call, whose per-arrival
 answers are the same-slide neighbors that arrived earlier.  Then, in
 arrival order, every arrival counts those and walks preceding slides
 newest-first, stopping as soon as k neighbors are known (minimal
@@ -13,7 +13,7 @@ resident that later drops below k extends forward one slide at a time,
 replacing the partial tally of each newly searched slide with the exact
 one.  Preceding slides that were never probed are always older than every
 alive slide by the time they could matter, so backward knowledge is
-complete for alive data.  Each slide tree carries the object's
+complete for alive data.  Each slide store carries the object's
 `_SliceRec` as its payload, so a hit reaches its object and tallies
 without a further lookup.
 """
@@ -21,7 +21,7 @@ without a further lookup.
 from __future__ import annotations
 
 from ..core import StreamObject, WindowConfig
-from ..indexes import MTree
+from ..indexes import LinearScanIndex
 from .common import PartitionOutput, SlideBatch
 
 
@@ -35,12 +35,12 @@ class _SliceRec:
 
 
 class SlicedWindowProcessor:
-    """Per-partition sliding window split into per-slide metric trees."""
+    """Per-partition sliding window split into per-slide scan stores."""
 
     def __init__(self, cfg: WindowConfig, partition: int):
         self.cfg = cfg
         self.partition = partition
-        self.trees: dict = {}       # slide index -> MTree
+        self.stores: dict = {}      # slide index -> LinearScanIndex
         self.slide_ids: dict = {}   # slide index -> ids in arrival order
         self.objs: dict = {}        # id -> _SliceRec
         self.triggers: dict = {}    # slide index -> ids that counted neighbors there
@@ -61,8 +61,8 @@ class SlicedWindowProcessor:
         expiring = u - cfg.slides_per_window
 
         candidates = set(self.unresolved)
-        if expiring in self.trees:
-            del self.trees[expiring]
+        if expiring in self.stores:
+            del self.stores[expiring]
             for oid in self.slide_ids.pop(expiring):
                 del self.objs[oid]
                 self.unresolved.discard(oid)
@@ -74,12 +74,12 @@ class SlicedWindowProcessor:
                     if rec.obj.flag == 0:
                         candidates.add(oid)
 
-        tree = MTree(metric=cfg.metric)
-        self.trees[u] = tree
+        store = LinearScanIndex(cfg.dims, cfg.metric)
+        self.stores[u] = store
         arrivals = batch.arrivals
         self.slide_ids[u] = [o.id for o in arrivals]
         recs = [_SliceRec(o, frontier=u) for o in arrivals]
-        same_slide = tree.add_batch(self.slide_ids[u], [o.value for o in arrivals],
+        same_slide = store.add_batch(self.slide_ids[u], [o.value for o in arrivals],
                                     recs, cfg.R)
         for rec, found in zip(recs, same_slide):
             o = rec.obj
@@ -90,8 +90,8 @@ class SlicedWindowProcessor:
             if o.flag == 0:
                 st = o.count_after
                 j = u - 1
-                while st < cfg.k and j in self.trees:
-                    hits = self.trees[j].query_payloads(o.value, cfg.R)
+                while st < cfg.k and j in self.stores:
+                    hits = self.stores[j].query_payloads(o.value, cfg.R)
                     self.counters["backward_probes"] += 1
                     if hits:
                         o.evil[j] = len(hits)
@@ -111,7 +111,7 @@ class SlicedWindowProcessor:
             st = self._status(o, oldest_alive)
             while st < cfg.k and rec.frontier < u:
                 f = rec.frontier + 1
-                full = len(self.trees[f].query_ids(o.value, cfg.R))
+                full = len(self.stores[f].query_ids(o.value, cfg.R))
                 self.counters["forward_probes"] += 1
                 gain = full - rec.succ.get(f, 0)
                 o.count_after += gain

@@ -1,23 +1,19 @@
 """Scan-and-count slide processors plus the meta-window aggregator.
 
-One processor class covers three of the algorithm variants, differing in
-two orthogonal knobs:
+One processor class covers three of the algorithm variants.  Every
+partition keeps its window in a `outstream.indexes.LinearScanIndex`; each
+slide's arrivals go to it in one ``add_batch`` call, which gives every
+arrival its neighbours among the window and the slide's earlier arrivals,
+and the metadata updates then run in arrival order.
+``counters["range_queries"]`` counts one query per arrival.  The variants
+differ in one knob, ``replicated``: full replication (every partition sees
+every arrival, replicas are evicted after their slide, results need the
+meta-window merge) versus value routing (replicas live out their natural
+lifetime, each partition reports its owned outliers directly).
 
-* ``index``: ``"linear"`` scans the whole partition window per arrival,
-  ``"mtree"`` asks a metric tree; both answer through `outstream.indexes`.
-  Each slide's arrivals go to the index in one ``add_batch`` call, which
-  gives every arrival its neighbours among the window and the slide's
-  earlier arrivals (the M-tree in one walk of the tree, the scan one
-  arrival at a time); the metadata updates then run in arrival order.
-  ``counters["range_queries"]`` counts one query per arrival.
-* ``replicated``: full replication (every partition sees every arrival,
-  replicas are evicted after their slide, results need the meta-window
-  merge) versus value routing (replicas live out their natural lifetime,
-  each partition reports its owned outliers directly).
-
-The single-partition value-routed linear configuration is the baseline;
-replicated + linear is the naive parallel solution; the mtree flavors are
-the advanced ones.
+The single-partition value-routed configuration is the baseline and
+replicated is the naive parallel solution; advanced is value-routed under
+grid and VP-tree routing and replicated under random routing.
 """
 
 from __future__ import annotations
@@ -26,31 +22,29 @@ from collections import deque
 
 from ..core import (WindowConfig, WindowInterval, is_outlier,
                     is_safe_inlier, prune_nn_before, trim_nn_before)
-from ..indexes import LinearScanIndex, MTree
+from ..indexes import LinearScanIndex
 from .common import LocalMeta, PartitionOutput, SlideBatch, apply_arrival
 
 
 class WindowScanProcessor:
     """Per-partition sliding window with per-arrival neighbor accounting."""
 
-    def __init__(self, cfg: WindowConfig, partition: int,
-                 index: str = "linear", replicated: bool = False):
-        if index not in ("linear", "mtree"):
-            raise ValueError(f"unknown index kind {index!r}")
+    def __init__(self, cfg: WindowConfig, partition: int, replicated: bool = False):
         self.cfg = cfg
         self.partition = partition
         self.replicated = replicated
         self.objs: dict = {}
-        self.index = (LinearScanIndex(cfg.dims, cfg.metric) if index == "linear"
-                      else MTree(metric=cfg.metric))
+        self.index = LinearScanIndex(cfg.dims, cfg.metric)
         self._expiry_queue: deque = deque()   # (t, id) of objects that expire by time
         self._po: set = set()                 # flag-0 ids not yet safe
+        self._alive = 0                       # flag-0 objects in ``objs``
         self.counters = {"range_queries": 0}
 
     # -- helpers -------------------------------------------------------------
 
     def _drop(self, oid) -> None:
-        del self.objs[oid]
+        if self.objs.pop(oid).flag == 0:
+            self._alive -= 1
         self.index.remove(oid)
         self._po.discard(oid)
 
@@ -72,8 +66,8 @@ class WindowScanProcessor:
                 self._expiry_queue.append((o.t, o.id))
             if o.flag == 0:
                 self._po.add(o.id)
+                self._alive += 1
 
-        alive = sum(1 for o in self.objs.values() if o.flag == 0)
         if self.replicated:
             forwards = [LocalMeta(o.id, o.partition, o.t, o.flag,
                                   o.count_after, tuple(o.nn_before))
@@ -81,7 +75,7 @@ class WindowScanProcessor:
             for o in batch.arrivals:
                 if o.flag:
                     self._drop(o.id)
-            return PartitionOutput(forwards=forwards, alive=alive,
+            return PartitionOutput(forwards=forwards, alive=self._alive,
                                    counters=dict(self.counters))
 
         outliers = set()
@@ -91,7 +85,7 @@ class WindowScanProcessor:
                 self._po.discard(oid)
             elif is_outlier(o, batch.expiry, cfg.k):
                 outliers.add(oid)
-        return PartitionOutput(outliers=outliers, alive=alive,
+        return PartitionOutput(outliers=outliers, alive=self._alive,
                                counters=dict(self.counters))
 
 

@@ -253,11 +253,11 @@ def stream_handler(source: StreamSource, rows: slice, spec, partitions: int):
 def _make_processor(topo: TopologyConfig, partition: int):
     cfg = topo.window
     if topo.algorithm == "baseline":
-        return WindowScanProcessor(cfg, partition, index="linear", replicated=False)
+        return WindowScanProcessor(cfg, partition, replicated=False)
     if topo.algorithm == "naive":
-        return WindowScanProcessor(cfg, partition, index="linear", replicated=True)
+        return WindowScanProcessor(cfg, partition, replicated=True)
     if topo.algorithm == "advanced":
-        return WindowScanProcessor(cfg, partition, index="mtree",
+        return WindowScanProcessor(cfg, partition,
                                    replicated=(topo.partitioner == "random"))
     if topo.algorithm == "advanced-sliced":
         return SlicedWindowProcessor(cfg, partition)

@@ -360,13 +360,6 @@ def test_payload_queries_fall_back_to_ids_without_payloads():
         assert sorted(idx.query_comparable((0.0, 0.0), 5.0)) == [(0, 0.0), (1, 25.0)]
 
 
-def mtree_shape(node):
-    """Leaf ids and covering radii, nested as the tree nests them."""
-    if node.leaf:
-        return list(node.ids)
-    return [(r, mtree_shape(c)) for r, c in zip(node.radii, node.children)]
-
-
 def on_grid(rng, n, dims):
     # small integer coordinates: exact distances, many duplicates and many
     # points exactly on the radius
@@ -382,56 +375,28 @@ def test_add_batch_matches_the_sequential_loop(metric, dims, stored, batch):
     new = range(stored, stored + batch)
     hits = 0
     for radius in (0.0, 2.0, 2.0 * dims):
-        for make in (lambda: LinearScanIndex(dims, metric=metric),
-                     lambda: MTree(metric=metric)):
-            batched, looped = make(), make()
-            for idx in (batched, looped):
-                for i in range(stored):
-                    idx.add(i, pts[i], payload=("obj", i))
-                for i in range(0, stored, 7):
-                    idx.remove(i)
-            want = []
-            for i in new:
-                want.append(looped.query_payloads(pts[i], radius))
-                looped.add(i, pts[i], payload=("obj", i))
-            got = batched.add_batch(list(new), [pts[i] for i in new],
-                                    [("obj", i) for i in new], radius)
-            if isinstance(batched, MTree):
-                # tree order for the stored points, then the batch's own
-                got, want = [sorted(g) for g in got], [sorted(w) for w in want]
-                assert mtree_shape(batched._root) == mtree_shape(looped._root)
-                batched.check_invariants()
-                looped.check_invariants()
-            assert got == want
-            assert len(batched) == len(looped)
-            hits += sum(map(len, got))
-            for c in pts[:20]:
-                assert batched.query_ids(c, 1.0) == looped.query_ids(c, 1.0)
+        batched = LinearScanIndex(dims, metric=metric)
+        looped = LinearScanIndex(dims, metric=metric)
+        for idx in (batched, looped):
+            for i in range(stored):
+                idx.add(i, pts[i], payload=("obj", i))
+            for i in range(0, stored, 7):
+                idx.remove(i)
+        want = []
+        for i in new:
+            want.append(looped.query_payloads(pts[i], radius))
+            looped.add(i, pts[i], payload=("obj", i))
+        got = batched.add_batch(list(new), [pts[i] for i in new],
+                                [("obj", i) for i in new], radius)
+        assert got == want
+        assert len(batched) == len(looped)
+        hits += sum(map(len, got))
+        for c in pts[:20]:
+            assert batched.query_ids(c, 1.0) == looped.query_ids(c, 1.0)
     assert hits > 0 or stored + batch == 1
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("dims", [1, 2, 3, 9])
-def test_batched_traversal_matches_query_ids_in_order(metric, dims):
-    rng = np.random.default_rng(40 + dims)
-    pts = on_grid(rng, 700, dims)
-    tree = MTree(metric=metric)
-    for i, p in enumerate(pts):
-        tree.add(i, p)
-    for i in range(0, 700, 3):
-        tree.remove(i)
-    centers = pts[::9] + on_grid(rng, 20, dims)
-    cols = np.array(centers).T
-    on_edge = 0
-    for radius in (0.0, 1.0, 2.0, 3.0, 2.0 * dims):
-        got = tree._search_batch(cols, radius)
-        assert got == [tree.query_ids(c, radius) for c in centers]
-        on_edge += sum(distance(pts[i], c, metric) == radius
-                       for c, ids in zip(centers, got) for i in ids)
-    assert on_edge > 0
-
-
 def test_add_batch_of_nothing_changes_nothing():
-    for idx in (LinearScanIndex(2), MTree()):
-        assert idx.add_batch([], [], [], 1.0) == []
-        assert len(idx) == 0
+    idx = LinearScanIndex(2)
+    assert idx.add_batch([], [], [], 1.0) == []
+    assert len(idx) == 0

@@ -5,7 +5,9 @@ from outstream import (EventQueue, MTree, MicroClusterProcessor, StreamObject,
                        TopologyConfig, WindowConfig,
                        assign_artificial_timestamps, brute_force_oracle,
                        build_grid, check_against_oracle, count_window_config,
-                       grid_route, run_topology, select_neighbor_backend)
+                       grid_route, oracle_slide_analysis, run_topology,
+                       select_neighbor_backend)
+from outstream.core import distance
 from outstream.processors import (SlicedWindowProcessor, WindowScanProcessor,
                                   make_batch, microcluster)
 
@@ -51,7 +53,7 @@ class TestNaive:
 
     def test_locally_safe_objects_not_forwarded(self):
         cfg = WindowConfig(W=4, S=1, R=0.5, k=2, partitions=2)
-        proc = WindowScanProcessor(cfg, 0, index="linear", replicated=True)
+        proc = WindowScanProcessor(cfg, 0, replicated=True)
         arrivals = [sobj(0, 1.0, 0), sobj(2, 1.1, 0), sobj(4, 1.2, 0),
                     sobj(6, 50.0, 0)]
         out = proc.process_slide(batch(0, cfg, arrivals))
@@ -81,10 +83,9 @@ class TestNaive:
         vals = clustered_values(31, 500, 1)
         run_exact(vals, 100, 20, 0.5, 3, "naive", "random", 4)
 
-    @pytest.mark.parametrize("index", ["linear", "mtree"])
-    def test_replicas_leave_with_their_slide(self, index):
+    def test_replicas_leave_with_their_slide(self):
         cfg = WindowConfig(W=4, S=1, R=0.5, k=2, partitions=2)
-        proc = WindowScanProcessor(cfg, 0, index=index, replicated=True)
+        proc = WindowScanProcessor(cfg, 0, replicated=True)
         arrivals = [sobj(0, 1.0, 0), sobj(1, 1.1, 0, flag=1, partition=1),
                     sobj(3, 9.0, 0, flag=1, partition=1)]
         out = proc.process_slide(batch(0, cfg, arrivals))
@@ -104,7 +105,7 @@ class TestAdvanced:
 
     def test_replica_is_context_but_not_subject(self):
         cfg, spec = self.grid_pair()
-        procs = [WindowScanProcessor(cfg, p, index="mtree", replicated=False)
+        procs = [WindowScanProcessor(cfg, p, replicated=False)
                  for p in range(2)]
         a = grid_route(spec, (4.8,))     # owner cell 0, replicated into cell 1
         b = grid_route(spec, (5.1,))     # interior of cell 1
@@ -310,6 +311,41 @@ def test_ten_windows_of_removals_stay_exact(algorithm, partitioner, flavors):
                     workers=1, **flavors)
     assert len(res.reports) == 100
     assert sum(len(r.outliers) for r in res.reports) > 0
+
+
+EVERY_RUN = [("baseline", "random", {}), ("naive", "random", {}),
+             ("advanced", "random", {}), ("advanced", "grid", {}),
+             ("advanced", "vptree", {}), ("advanced-sliced", "grid", {}),
+             ("advanced-sliced", "vptree", {})] + [
+    ("pmcod", partitioner, {"flavor_backend": backend})
+    for partitioner in ("grid", "vptree")
+    for backend in ("none", "full-mtree", "po-mtree", "dual-mtree")]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dims", [2, 3])
+def test_every_variant_is_exact_on_an_integer_grid(dims, metric):
+    """Coordinates in -3..3: many duplicates and many pairs exactly at R."""
+    W, S = 120, 20
+    rng = np.random.default_rng(dims)
+    vals = rng.integers(-3, 4, size=(W + 10 * S, dims)).astype(float)
+    src = assign_artificial_timestamps(vals, W, S)
+    for R, k in ([(1.0, 10), (2.0, 28)] if dims == 2 else [(1.0, 2), (2.0, 6)]):
+        on_edge = sum(distance(vals[i], vals[j], metric) == R
+                      for i in range(W) for j in range(i))
+        assert on_edge > 0
+        oracle = None
+        for algorithm, partitioner, flavors in EVERY_RUN:
+            cfg = count_window_config(W, S, R=R, k=k, dims=dims, metric=metric,
+                                      partitions=1 if algorithm == "baseline" else 4)
+            res = run_topology(src, TopologyConfig(
+                window=cfg, algorithm=algorithm, partitioner=partitioner,
+                sample_size=len(vals), validate=True, workers=1, **flavors))
+            if oracle is None:
+                oracle = oracle_slide_analysis(src, cfg, len(res.reports))[0]
+                assert all(0 < len(o) < W for o in oracle[W // S:])
+            got = [set(r.outliers) for r in res.reports]
+            assert got == oracle, f"{algorithm}/{partitioner} {flavors}, R={R}"
 
 
 class TestCrossVariantEquivalence:
