@@ -72,7 +72,10 @@ def key_limit(radius: float, metric: str = "euclidean") -> float:
 
 
 def within(a, b, radius: float, metric: str = "euclidean") -> bool:
-    """Closed-ball neighbor predicate, bit-consistent with `within_mask`."""
+    """Closed-ball neighbor predicate.
+
+    ``column_keys(...) <= key_limit(radius)`` decides the same, bit for bit.
+    """
     if metric == "euclidean":
         return sqdist(a, b) <= radius * radius
     return manhattan(a, b) <= radius
@@ -106,16 +109,6 @@ def column_keys(cols: np.ndarray, center, metric: str = "euclidean") -> np.ndarr
             np.abs(t, out=t)
         acc += t
     return acc
-
-
-def within_mask(matrix: np.ndarray, center, radius: float,
-                metric: str = "euclidean") -> np.ndarray:
-    """Vectorized closed-ball test of every row of ``matrix`` against ``center``.
-
-    Column sums, left to right, at any d (`column_keys`), so the result
-    matches `within` applied per row.
-    """
-    return column_keys(matrix.T, center, metric) <= key_limit(radius, metric)
 
 
 # ---------------------------------------------------------------------------

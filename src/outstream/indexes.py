@@ -13,15 +13,11 @@ range queries ``query_ids``, ``query_payloads`` and ``query_comparable``,
 whose (payload, key) pairs carry `sqdist` (euclidean) or `manhattan` bit
 for bit, so a key compared with `key_limit` decides as `within` does.  A
 point or centre of another dimensionality raises ``ValueError``; the
-M-tree takes its dimensionality from its first point.  The scan returns
-hits in insertion order, the M-tree in tree order.
-
-`LinearScanIndex.add_batch(oids, values, payloads, radius)` returns, per
-new point, the payloads of its neighbours among everything stored before
-it, and then stores the points in input order: the query-then-add loop.
-The window-scan and sliced processors fill their stores with it.  The
-pure-Python M-tree lost to the scan on every stream measured, so it keeps
-only the one-point protocol, for pMCOD's tree backends.
+M-tree takes its dimensionality from its first point.  Neither promises
+an order of hits: the scan returns them in slot order, and ``remove``
+moves the last stored point into the freed slot; the M-tree returns them
+in tree order.  The pure-Python M-tree lost to the scan on every stream
+measured, so it serves only pMCOD's tree backends.
 
 The linear scan stores coordinates column-major and answers every query
 with `outstream.core.column_keys`: column sums, left to right, at any d,
@@ -44,8 +40,6 @@ from .core import column_keys, distance, key_limit, manhattan, sqdist, within
 # Pruning tolerance (conservative side only, see module docstring).
 _SLOP = 1e-9
 
-_NO_SLOTS = np.empty(0, dtype=np.intp)
-
 
 def _as_point(value, dims) -> tuple:
     """``value`` as a tuple of Python floats, checked against ``dims``."""
@@ -56,25 +50,24 @@ def _as_point(value, dims) -> tuple:
 
 
 class LinearScanIndex:
-    """Flat store over a growing column-major buffer with vectorized range queries.
+    """Dense column-major store of the live points, with vectorized range queries.
 
     Coordinates are kept as ``dims x capacity`` so that every query is one
-    `column_keys` pass, one dimension at a time.
+    `column_keys` pass, one dimension at a time, over the first ``_n``
+    columns.  ``remove`` moves the last point into the freed slot.
     """
 
     def __init__(self, dims: int, metric: str = "euclidean"):
         self.dims = dims
         self.metric = metric
         self._cols = np.empty((dims, 32), dtype=np.float64)
-        self._alive = np.zeros(32, dtype=bool)
         self._ids: list = []
         self._payloads: list = []
         self._slot_of: dict = {}
-        self._n = 0          # rows in use (including dead)
-        self._dead = 0
+        self._n = 0          # points stored = columns in use
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return self._n
 
     def __contains__(self, oid) -> bool:
         return oid in self._slot_of
@@ -86,59 +79,39 @@ class LinearScanIndex:
             raise ValueError(f"dimensionality mismatch: {len(value)} vs {self.dims}")
         if self._n == self._cols.shape[1]:
             self._grow()
-        slot = self._n
-        self._cols[:, slot] = value
-        self._alive[slot] = True
+        self._cols[:, self._n] = value
         self._ids.append(oid)
         self._payloads.append(oid if payload is None else payload)
-        self._slot_of[oid] = slot
+        self._slot_of[oid] = self._n
         self._n += 1
 
     def remove(self, oid) -> None:
         slot = self._slot_of.pop(oid, None)
         if slot is None:
             raise ValueError(f"id {oid!r} not present")
-        self._alive[slot] = False
-        self._payloads[slot] = None
-        self._dead += 1
-        if self._dead > 64 and self._dead * 2 > self._n:
-            self._compact()
+        self._n -= 1
+        moved, payload = self._ids.pop(), self._payloads.pop()
+        if slot < self._n:
+            self._cols[:, slot] = self._cols[:, self._n]
+            self._ids[slot] = moved
+            self._payloads[slot] = payload
+            self._slot_of[moved] = slot
 
     def ids(self) -> list:
-        return [self._ids[s] for s in range(self._n) if self._alive[s]]
+        return list(self._ids)
 
     def _grow(self):
-        cap = max(64, 2 * self._cols.shape[1])
-        cols = np.empty((self.dims, cap), dtype=np.float64)
+        cols = np.empty((self.dims, 2 * self._cols.shape[1]), dtype=np.float64)
         cols[:, : self._n] = self._cols[:, : self._n]
-        alive = np.zeros(cap, dtype=bool)
-        alive[: self._n] = self._alive[: self._n]
-        self._cols, self._alive = cols, alive
-
-    def _compact(self):
-        keep = [s for s in range(self._n) if self._alive[s]]
-        self._cols[:, : len(keep)] = self._cols[:, keep]
-        self._ids = [self._ids[s] for s in keep]
-        self._payloads = [self._payloads[s] for s in keep]
-        self._n = len(keep)
-        self._alive[: self._n] = True
-        self._alive[self._n:] = False
-        self._dead = 0
-        self._slot_of = {oid: s for s, oid in enumerate(self._ids)}
+        self._cols = cols
 
     def _hits(self, center, radius) -> tuple:
-        """Live slots within ``radius`` of ``center`` (ascending), and all keys."""
-        n = self._n
-        if n == 0:
-            return _NO_SLOTS, None
-        keys = column_keys(self._cols[:, :n], center, self.metric)
-        mask = keys <= key_limit(radius, self.metric)
-        if self._dead:
-            mask &= self._alive[:n]
-        return mask.nonzero()[0], keys
+        """Slots within ``radius`` of ``center`` (ascending), and all keys."""
+        keys = column_keys(self._cols[:, : self._n], center, self.metric)
+        return (keys <= key_limit(radius, self.metric)).nonzero()[0], keys
 
     def query_ids(self, center, radius) -> list:
-        """Ids of stored points within ``radius`` of ``center`` (insertion order)."""
+        """Ids of stored points within ``radius`` of ``center`` (slot order)."""
         ids = self._ids
         return [ids[s] for s in self._hits(center, radius)[0].tolist()]
 
@@ -147,21 +120,10 @@ class LinearScanIndex:
         return [payloads[s] for s in self._hits(center, radius)[0].tolist()]
 
     def query_comparable(self, center, radius) -> list:
-        """(payload, comparison key) pairs for hits, in insertion order."""
+        """(payload, comparison key) pairs for hits, in slot order."""
         slots, keys = self._hits(center, radius)
-        if len(slots) == 0:
-            return []
         payloads = self._payloads
         return list(zip([payloads[s] for s in slots.tolist()], keys[slots].tolist()))
-
-    def add_batch(self, oids, values, payloads, radius) -> list:
-        """Per new point, the payloads within ``radius`` among everything
-        stored before it (insertion order); the points are stored in order."""
-        found = []
-        for oid, value, payload in zip(oids, values, payloads):
-            found.append(self.query_payloads(value, radius))
-            self.add(oid, value, payload)
-        return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Time-sliced slide processor: one linear-scan store per alive slide.
 
-Each slide's store is filled by one ``add_batch`` call, whose per-arrival
-answers are the same-slide neighbors that arrived earlier.  Then, in
-arrival order, every arrival counts those and walks preceding slides
-newest-first, stopping as soon as k neighbors are known (minimal
-probing); backward and forward probes are single-centre queries.
-Neighbor counts per preceding slide live in the object's ``evil`` map;
-counts from the object's own and succeeding slides live in
-``count_after``.  Succeeding-slide knowledge can be partial: newcomers
+In arrival order, every arrival queries its own slide's store for the
+same-slide neighbors that arrived earlier, is stored there, counts those
+and walks preceding slides newest-first, stopping as soon as k neighbors
+are known (minimal probing); backward and forward probes are
+single-centre queries.  Neighbor counts per preceding slide live in the
+object's ``evil`` map; counts from the object's own and succeeding slides
+live in ``count_after``.  Succeeding-slide knowledge can be partial: newcomers
 probing backwards report themselves to the residents they find, and a
 resident that later drops below k extends forward one slide at a time,
 replacing the partial tally of each newly searched slide with the exact
@@ -41,7 +40,6 @@ class SlicedWindowProcessor:
         self.cfg = cfg
         self.partition = partition
         self.stores: dict = {}      # slide index -> LinearScanIndex
-        self.slide_ids: dict = {}   # slide index -> ids in arrival order
         self.objs: dict = {}        # id -> _SliceRec
         self.triggers: dict = {}    # slide index -> ids that counted neighbors there
         self.unresolved: set = set()
@@ -62,8 +60,7 @@ class SlicedWindowProcessor:
 
         candidates = set(self.unresolved)
         if expiring in self.stores:
-            del self.stores[expiring]
-            for oid in self.slide_ids.pop(expiring):
+            for oid in self.stores.pop(expiring).ids():
                 del self.objs[oid]
                 self.unresolved.discard(oid)
                 candidates.discard(oid)
@@ -76,13 +73,10 @@ class SlicedWindowProcessor:
 
         store = LinearScanIndex(cfg.dims, cfg.metric)
         self.stores[u] = store
-        arrivals = batch.arrivals
-        self.slide_ids[u] = [o.id for o in arrivals]
-        recs = [_SliceRec(o, frontier=u) for o in arrivals]
-        same_slide = store.add_batch(self.slide_ids[u], [o.value for o in arrivals],
-                                    recs, cfg.R)
-        for rec, found in zip(recs, same_slide):
-            o = rec.obj
+        for o in batch.arrivals:
+            rec = _SliceRec(o, frontier=u)
+            found = store.query_payloads(o.value, cfg.R)
+            store.add(o.id, o.value, rec)
             o.evil = {}
             for nrec in found:
                 nrec.obj.count_after += 1   # same-slide neighbors count both ways

@@ -1,15 +1,15 @@
 """Scan-and-count slide processors plus the meta-window aggregator.
 
 One processor class covers three of the algorithm variants.  Every
-partition keeps its window in a `outstream.indexes.LinearScanIndex`; each
-slide's arrivals go to it in one ``add_batch`` call, which gives every
-arrival its neighbours among the window and the slide's earlier arrivals,
-and the metadata updates then run in arrival order.
-``counters["range_queries"]`` counts one query per arrival.  The variants
-differ in one knob, ``replicated``: full replication (every partition sees
-every arrival, replicas are evicted after their slide, results need the
-meta-window merge) versus value routing (replicas live out their natural
-lifetime, each partition reports its owned outliers directly).
+partition keeps its window in a `outstream.indexes.LinearScanIndex`.  In
+arrival order, each arrival queries it for its neighbours among the window
+and the slide's earlier arrivals, is stored in it, and updates the
+metadata; ``counters["range_queries"]`` counts one query per arrival.  The
+variants differ in one knob, ``replicated``: full replication (every
+partition sees every arrival, replicas are evicted after their slide,
+results need the meta-window merge) versus value routing (replicas live
+out their natural lifetime, each partition reports its owned outliers
+directly).
 
 The single-partition value-routed configuration is the baseline and
 replicated is the naive parallel solution; advanced is value-routed under
@@ -55,11 +55,11 @@ class WindowScanProcessor:
         while self._expiry_queue and self._expiry_queue[0][0] < batch.expiry:
             self._drop(self._expiry_queue.popleft()[1])
 
-        arrivals = batch.arrivals
-        found = self.index.add_batch([o.id for o in arrivals], [o.value for o in arrivals],
-                                     arrivals, cfg.R)
-        self.counters["range_queries"] += len(arrivals)
-        for o, neighbors in zip(arrivals, found):
+        index = self.index
+        self.counters["range_queries"] += len(batch.arrivals)
+        for o in batch.arrivals:
+            neighbors = index.query_payloads(o.value, cfg.R)
+            index.add(o.id, o.value, o)
             apply_arrival(o, neighbors, batch.slide_start, cfg.k, self.replicated)
             self.objs[o.id] = o
             if o.flag == 0 or not self.replicated:

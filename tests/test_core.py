@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from outstream import (StreamObject, WindowConfig, distance, is_outlier,
                        is_safe_inlier, prune_nn_before, trim_nn_before, within)
-from outstream.core import column_keys, manhattan, sqdist, within_mask
+from outstream.core import column_keys, key_limit, manhattan, sqdist
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -66,7 +66,7 @@ class TestDistance:
         pts = rng.normal(0, 1, size=(500, 3))
         center = tuple(rng.normal(0, 1, size=3))
         for metric in ("euclidean", "manhattan"):
-            mask = within_mask(pts, center, 1.3, metric)
+            mask = column_keys(pts.T, center, metric) <= key_limit(1.3, metric)
             for i in range(len(pts)):
                 assert mask[i] == within(tuple(pts[i]), center, 1.3, metric)
 
@@ -97,7 +97,7 @@ class TestColumnKernel:
             for row in rows[:40]:
                 d = sqdist(row, center) if metric == "euclidean" else manhattan(row, center)
                 radius = math.sqrt(d) if metric == "euclidean" else d
-                mask = within_mask(pts, center, radius, metric)
+                mask = column_keys(pts.T, center, metric) <= key_limit(radius, metric)
                 assert mask.tolist() == [within(r, center, radius, metric) for r in rows]
 
     def test_dimensionality_mismatch(self):

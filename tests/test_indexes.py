@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outstream import LinearScanIndex, MTree, VPTree, range_query
-from outstream.core import distance, manhattan, sqdist, within, within_mask
+from outstream.core import column_keys, distance, key_limit, manhattan, sqdist, within
 
 
 def fill(index, points, payload=False):
@@ -45,6 +45,13 @@ class TestLinearScan:
         with pytest.raises(ValueError, match="dimensionality"):
             idx.add(5, point)
         assert len(idx) == 0 and idx.query_ids((1.0, 1.0), 10.0) == []
+
+    def test_centre_dimensionality_mismatch_rejected(self):
+        for idx in (LinearScanIndex(2), fill(LinearScanIndex(2), [(0.0, 0.0)])):
+            for query in (idx.query_ids, idx.query_payloads, idx.query_comparable):
+                for center in ((0.0,), (0.0, 0.0, 0.0)):
+                    with pytest.raises(ValueError, match="dimensionality"):
+                        query(center, 1.0)
 
     def test_compaction_keeps_survivors(self):
         idx = LinearScanIndex(1)
@@ -310,47 +317,104 @@ def test_points_exactly_on_the_radius_agree_everywhere(dims, metric):
     # many points sit exactly on the closed ball's boundary
     rng = np.random.default_rng(dims)
     pts = [tuple(map(float, row)) for row in rng.integers(-3, 4, size=(600, dims))]
+    cols = np.array(pts).T
     key = sqdist if metric == "euclidean" else manhattan
     for idx in (LinearScanIndex(dims, metric=metric), MTree(metric=metric)):
-        linear = isinstance(idx, LinearScanIndex)
-        # the scan returns hits in insertion order, the tree in tree order
-        ordered = list if linear else sorted
+        # neither index promises an order of hits
         for i, p in enumerate(pts):
             idx.add(i, p, payload=("obj", i))
-        order = list(range(len(pts)))        # live ids in insertion order
+        live = set(range(len(pts)))
 
         def check():
             on_edge = 0
             for center in pts[:25]:
                 for radius in (0.0, 1.0, 2.0, 3.0):
-                    want = [i for i in order if within(pts[i], center, radius, metric)]
+                    want = sorted(i for i in live if within(pts[i], center, radius, metric))
                     on_edge += sum(distance(pts[i], center, metric) == radius for i in want)
-                    mask = within_mask(np.array(pts), center, radius, metric)
-                    assert [i for i in order if mask[i]] == want
-                    assert ordered(idx.query_ids(center, radius)) == ordered(want)
-                    assert (ordered(idx.query_payloads(center, radius))
-                            == ordered([("obj", i) for i in want]))
+                    mask = column_keys(cols, center, metric) <= key_limit(radius, metric)
+                    assert sorted(i for i in live if mask[i]) == want
+                    assert sorted(idx.query_ids(center, radius)) == want
+                    assert (sorted(idx.query_payloads(center, radius))
+                            == [("obj", i) for i in want])
                     got = idx.query_comparable(center, radius)
-                    assert ordered(got) == ordered([(("obj", i), key(center, pts[i]))
-                                                    for i in want])
+                    assert sorted(got) == [(("obj", i), key(center, pts[i])) for i in want]
                     assert all(type(k) is float for _, k in got)
             assert on_edge > 0
 
         def drop(ids):
             for i in ids:
                 idx.remove(i)
-                order.remove(i)
+                live.remove(i)
 
         check()
-        drop(range(0, 600, 11))              # dead rows, below the compaction trigger
-        assert not linear or idx._dead > 0
+        drop(range(0, 600, 11))
         check()
-        drop([i for i in range(1, 600, 2) if i in order])   # enough to compact
-        assert not linear or idx._n < len(pts)
+        drop([i for i in range(1, 600, 2) if i in live])
+        assert len(idx) == len(live)
         check()
-        idx.add(1, pts[1], payload=("obj", 1))   # a re-added id goes last
-        order.append(1)
+        idx.add(1, pts[1], payload=("obj", 1))   # a removed id comes back
+        live.add(1)
         check()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_scan_matches_brute_force_through_removals_in_any_order(dims, metric):
+    # pMCOD's pool pattern: adds, removals in any order, removed ids added
+    # back, the last row removed, and the store emptied and refilled; the
+    # reference is `within` over a dict of the live points
+    rng = np.random.default_rng(40 + dims)
+    key = sqdist if metric == "euclidean" else manhattan
+    idx, live, removed = LinearScanIndex(dims, metric=metric), {}, set()
+    centers = [tuple(map(float, row)) for row in rng.integers(-3, 4, size=(4, dims))]
+    hits = 0
+
+    def check():
+        nonlocal hits
+        assert len(idx) == len(live)
+        assert sorted(idx.ids()) == sorted(live)
+        assert all(oid in idx for oid in live)
+        assert not any(oid in idx for oid in removed)
+        for center in centers:
+            for radius in (0.0, 1.0, 2.0):
+                want = sorted(i for i, p in live.items() if within(p, center, radius, metric))
+                hits += len(want)
+                assert sorted(idx.query_ids(center, radius)) == want
+                assert sorted(idx.query_payloads(center, radius)) == [("obj", i) for i in want]
+                assert (sorted(idx.query_comparable(center, radius))
+                        == [(("obj", i), key(center, live[i])) for i in want])
+
+    def add(oid):
+        removed.discard(oid)
+        live[oid] = tuple(map(float, rng.integers(-3, 4, size=dims)))
+        idx.add(oid, live[oid], payload=("obj", oid))
+        check()
+
+    def remove(oid):
+        idx.remove(oid)
+        del live[oid]
+        removed.add(oid)
+        check()
+
+    check()
+    for oid in range(60):
+        add(oid)
+    fresh = 60
+    for _ in range(200):
+        if removed and rng.random() < 0.3:
+            add(sorted(removed)[int(rng.integers(len(removed)))])
+        elif live and rng.random() < 0.5:
+            remove(list(live)[int(rng.integers(len(live)))])
+        else:
+            add(fresh)
+            fresh += 1
+    add(fresh)
+    remove(fresh)                  # the last row: nothing moves
+    for oid in rng.permutation(list(live)).tolist():
+        remove(oid)
+    assert len(idx) == 0
+    add(7)
+    assert hits > 0
 
 
 def test_payload_queries_fall_back_to_ids_without_payloads():
@@ -358,45 +422,3 @@ def test_payload_queries_fall_back_to_ids_without_payloads():
         idx = fill(index, [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)])
         assert sorted(idx.query_payloads((0.0, 0.0), 5.0)) == [0, 1]
         assert sorted(idx.query_comparable((0.0, 0.0), 5.0)) == [(0, 0.0), (1, 25.0)]
-
-
-def on_grid(rng, n, dims):
-    # small integer coordinates: exact distances, many duplicates and many
-    # points exactly on the radius
-    return [tuple(map(float, row)) for row in rng.integers(-3, 4, size=(n, dims))]
-
-
-@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("dims", [1, 2, 3, 9])
-@pytest.mark.parametrize("stored, batch", [(0, 1), (0, 60), (300, 1), (300, 60)])
-def test_add_batch_matches_the_sequential_loop(metric, dims, stored, batch):
-    rng = np.random.default_rng(dims * 1000 + stored + batch)
-    pts = on_grid(rng, stored + batch, dims)
-    new = range(stored, stored + batch)
-    hits = 0
-    for radius in (0.0, 2.0, 2.0 * dims):
-        batched = LinearScanIndex(dims, metric=metric)
-        looped = LinearScanIndex(dims, metric=metric)
-        for idx in (batched, looped):
-            for i in range(stored):
-                idx.add(i, pts[i], payload=("obj", i))
-            for i in range(0, stored, 7):
-                idx.remove(i)
-        want = []
-        for i in new:
-            want.append(looped.query_payloads(pts[i], radius))
-            looped.add(i, pts[i], payload=("obj", i))
-        got = batched.add_batch(list(new), [pts[i] for i in new],
-                                [("obj", i) for i in new], radius)
-        assert got == want
-        assert len(batched) == len(looped)
-        hits += sum(map(len, got))
-        for c in pts[:20]:
-            assert batched.query_ids(c, 1.0) == looped.query_ids(c, 1.0)
-    assert hits > 0 or stored + batch == 1
-
-
-def test_add_batch_of_nothing_changes_nothing():
-    idx = LinearScanIndex(2)
-    assert idx.add_batch([], [], [], 1.0) == []
-    assert len(idx) == 0
