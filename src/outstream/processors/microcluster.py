@@ -24,7 +24,7 @@ work only, never the reported outlier sets.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 
 from ..core import (StreamObject, WindowConfig, is_outlier, key_limit,
@@ -66,7 +66,7 @@ class EventQueue:
         if old == key:
             return
         if self.flavor == "ordered" and old is not None:
-            self._sorted.remove((old, oid))
+            del self._sorted[bisect_left(self._sorted, (old, oid))]
         self._keys[oid] = key
         if self.flavor == "heap":
             heapq.heappush(self._heap, (key, oid))
@@ -76,7 +76,7 @@ class EventQueue:
     def discard(self, oid) -> None:
         old = self._keys.pop(oid, None)
         if old is not None and self.flavor == "ordered":
-            self._sorted.remove((old, oid))
+            del self._sorted[bisect_left(self._sorted, (old, oid))]
 
     def drain(self, w_start) -> list:
         """Pop and return ids whose re-check tick precedes ``w_start``."""
@@ -88,10 +88,11 @@ class EventQueue:
                     del self._keys[oid]
                     out.append(oid)
         else:
-            while self._sorted and self._sorted[0][0] < w_start:
-                key, oid = self._sorted.pop(0)
+            cut = bisect_left(self._sorted, (w_start,))
+            out = [oid for _, oid in self._sorted[:cut]]
+            del self._sorted[:cut]
+            for oid in out:
                 del self._keys[oid]
-                out.append(oid)
         return out
 
 
@@ -221,8 +222,8 @@ class MicroClusterProcessor:
         ``update_neighbors`` unset (dissolved members re-entering) the
         point's own metadata is recomputed but no other object's counters
         move: its earlier arrival already counted it everywhere.  Ids of
-        the pool points whose counters moved go to ``touched`` unless it
-        is None.
+        the unsafe pool points whose counters moved go to ``touched``
+        unless it is None.
 
         One center query at ``R + R/2`` (padded) serves both the join
         test, through its keys within R/2, and the member search.  The
@@ -238,14 +239,14 @@ class MicroClusterProcessor:
         if cand:
             best = min(cand, key=lambda e: (e[1], e[0]))
             if update_neighbors:
-                self._count_arrival(self._pool_within(o.value, cfg.R), touched)
+                self._count_arrival(self._pool_within(o.value, cfg.R), touched, cfg.k)
             self._join(best[0], o)
             return False
 
         pool_hits, members = self._neighbors_within(o.value, cfg.R, near)
         others = [c for c, _ in pool_hits if c is not o]
         if update_neighbors:
-            self._count_arrival(others, touched)
+            self._count_arrival(others, touched, cfg.k)
         own_slide_start = (o.t // cfg.S) * cfg.S
         ts = [c.t for c in others] + [c.t for c in members]
         before = [t for t in ts if t < own_slide_start]
@@ -261,15 +262,21 @@ class MicroClusterProcessor:
         return True
 
     @staticmethod
-    def _count_arrival(pool_hits: list, touched: set | None) -> None:
+    def _count_arrival(pool_hits: list, touched: set | None, k: int) -> None:
         """Count an arrival as a succeeding neighbor of each of its pool hits.
 
         A fresh arrival is never in the pool itself, so every hit counts.
+        Only hits that were unsafe before this count go to ``touched``: a
+        safe inlier is never in the event queue, so it needs no re-check.
         """
+        if touched is None:
+            for c in pool_hits:
+                c.count_after += 1
+            return
         for c in pool_hits:
             c.count_after += 1
-        if touched is not None:
-            touched.update(c.id for c in pool_hits)
+            if c.count_after <= k:
+                touched.add(c.id)
 
     # -- slide step --------------------------------------------------------------
 
@@ -343,11 +350,12 @@ class MicroClusterProcessor:
                 if o.count_after >= cfg.k:
                     self.equeue.discard(oid)
                     continue
-                if is_outlier(o, batch.expiry, cfg.k):
+                # `is_outlier`, keeping the pruned list for the re-check key
+                alive_prec = prune_nn_before(o.nn_before, batch.expiry)
+                if o.count_after + len(alive_prec) < cfg.k:
                     outliers.add(oid)
                     self.equeue.discard(oid)
                 else:
-                    alive_prec = prune_nn_before(o.nn_before, batch.expiry)
                     self.equeue.insert(oid, alive_prec[0])
             self._prev_outliers = set(outliers)
 

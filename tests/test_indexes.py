@@ -417,6 +417,46 @@ def test_scan_matches_brute_force_through_removals_in_any_order(dims, metric):
     assert hits > 0
 
 
+def on_grid(rng, n, dims):
+    # small integer coordinates: exact distances, many duplicates and many
+    # points exactly on the radius
+    return [tuple(map(float, row)) for row in rng.integers(-3, 4, size=(n, dims))]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dims", [1, 2, 3, 9])
+@pytest.mark.parametrize("stored, batch", [(0, 1), (0, 60), (300, 1), (300, 60)])
+def test_add_batch_matches_the_sequential_loop(metric, dims, stored, batch):
+    # A slide's batch of arrivals as the window-scan and sliced processors
+    # add it: each arrival queries the store, then joins it, so it sees the
+    # stored rows and the earlier arrivals of its batch.  The reference is
+    # `within` over a dict of the live points, grown one arrival at a time.
+    rng = np.random.default_rng(dims * 1000 + stored + batch)
+    pts = on_grid(rng, stored + batch, dims)
+    new = range(stored, stored + batch)
+    hits = 0
+    for radius in (0.0, 2.0, 2.0 * dims):
+        idx, live = LinearScanIndex(dims, metric=metric), {}
+        for i in range(stored):
+            idx.add(i, pts[i], payload=("obj", i))
+            live[i] = pts[i]
+        for i in range(0, stored, 7):
+            idx.remove(i)
+            del live[i]
+        for i in new:
+            want = sorted(("obj", j) for j, p in live.items()
+                          if within(p, pts[i], radius, metric))
+            assert sorted(idx.query_payloads(pts[i], radius)) == want
+            idx.add(i, pts[i], payload=("obj", i))
+            live[i] = pts[i]
+            hits += len(want)
+        assert len(idx) == len(live)
+        for c in pts[:20]:
+            assert sorted(idx.query_ids(c, 1.0)) == sorted(
+                j for j, p in live.items() if within(p, c, 1.0, metric))
+    assert hits > 0 or stored + batch == 1
+
+
 def test_payload_queries_fall_back_to_ids_without_payloads():
     for index in (LinearScanIndex(2), MTree()):
         idx = fill(index, [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)])
