@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .runtime import RunMetrics, RunResult
 
@@ -18,9 +18,6 @@ class SlideStat:
     alive: int
     outliers: int
     wall_ms: float
-
-    FIELDS = ("slide_index", "start", "end", "arrivals", "delivered",
-              "alive", "outliers", "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,21 @@ class RunRecord:
                 f"outlier_pct={100 * m.outlier_fraction:.3f}")
 
 
+def _names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
+def _cells(obj) -> list:
+    """Each field of ``obj`` as its ``repr``, which parses back exactly."""
+    return [repr(getattr(obj, name)) for name in _names(obj)]
+
+
+def _parse(cls, cells: dict):
+    """``cls`` from its fields' cells, each parsed by the field's type."""
+    return cls(**{f.name: (int if f.type in (int, "int") else float)(cells[f.name])
+                  for f in fields(cls)})
+
+
 def write_run_record(record: RunRecord, prefix: str) -> tuple:
     """Write ``<prefix>.summary.csv`` and ``<prefix>.slides.csv``."""
     summary_path = f"{prefix}.summary.csv"
@@ -58,16 +70,12 @@ def write_run_record(record: RunRecord, prefix: str) -> tuple:
     keys = [k for k, _ in record.config]
     with open(summary_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(keys) + list(RunMetrics.FIELDS))
-        row = [v for _, v in record.config]
-        row += [repr(getattr(record.metrics, f)) for f in RunMetrics.FIELDS]
-        w.writerow(row)
+        w.writerow(keys + _names(RunMetrics))
+        w.writerow([v for _, v in record.config] + _cells(record.metrics))
     with open(slides_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SlideStat.FIELDS)
-        for s in record.slides:
-            w.writerow([s.slide_index, s.start, s.end, s.arrivals, s.delivered,
-                        s.alive, s.outliers, repr(s.wall_ms)])
+        w.writerow(_names(SlideStat))
+        w.writerows(_cells(s) for s in record.slides)
     return summary_path, slides_path
 
 
@@ -76,23 +84,9 @@ def load_run_record(prefix: str) -> RunRecord:
     with open(f"{prefix}.summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     header, values = rows[0], rows[1]
-    n_cfg = len(header) - len(RunMetrics.FIELDS)
+    n_cfg = len(header) - len(fields(RunMetrics))
     config = tuple(zip(header[:n_cfg], values[:n_cfg]))
-    raw = dict(zip(header[n_cfg:], values[n_cfg:]))
-    metrics = RunMetrics(
-        n_slides=int(raw["n_slides"]), warmup=int(raw["warmup"]),
-        mean_slide_ms=float(raw["mean_slide_ms"]),
-        median_slide_ms=float(raw["median_slide_ms"]),
-        throughput_obj_s=float(raw["throughput_obj_s"]),
-        replication_factor=float(raw["replication_factor"]),
-        outlier_fraction=float(raw["outlier_fraction"]))
-    slides = []
+    metrics = _parse(RunMetrics, dict(zip(header[n_cfg:], values[n_cfg:])))
     with open(f"{prefix}.slides.csv", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            slides.append(SlideStat(
-                slide_index=int(row["slide_index"]), start=int(row["start"]),
-                end=int(row["end"]), arrivals=int(row["arrivals"]),
-                delivered=int(row["delivered"]), alive=int(row["alive"]),
-                outliers=int(row["outliers"]), wall_ms=float(row["wall_ms"])))
-    return RunRecord(config=config, metrics=metrics, slides=tuple(slides))
+        slides = tuple(_parse(SlideStat, row) for row in csv.DictReader(fh))
+    return RunRecord(config=config, metrics=metrics, slides=slides)

@@ -123,9 +123,3 @@ def generate_gaussian_values(spec: GaussianMixtureSpec, n: int) -> np.ndarray:
     means = np.asarray(spec.means, dtype=np.float64)
     scales = np.asarray(spec.scales, dtype=np.float64)
     return means[comps] + noise * scales[comps, None]
-
-
-def generate_gaussian_stream(spec: GaussianMixtureSpec, n: int,
-                             w_count: int, s_count: int) -> StreamSource:
-    return assign_artificial_timestamps(generate_gaussian_values(spec, n),
-                                        w_count, s_count)

@@ -12,9 +12,13 @@ all are queried through the one protocol of `outstream.indexes`:
 
 * ``full-mtree``: one metric tree over every point in the window.
 * ``none``: linear scans over the pool, the cluster centers, and the
-  members of candidate clusters.
+  members of every cluster (one scan for all of them).
 * ``po-mtree``: a metric tree over the pool; centers and members scanned.
 * ``dual-mtree``: trees over both the pool and the cluster centers.
+
+A cluster is its center and the set of its member ids.  A point that
+joins no cluster finds its member neighbors with one range query, which
+`column_keys` (or the window tree) decides exactly as `within` does.
 
 The optional event queue re-checks an unsafe inlier exactly when its
 oldest alive preceding neighbor expires; enabling it changes internal
@@ -31,10 +35,6 @@ from ..core import (StreamObject, WindowConfig, is_outlier, key_limit,
                     prune_nn_before, trim_nn_before, within)
 from ..indexes import LinearScanIndex, MTree
 from .common import PartitionOutput, SlideBatch
-
-# Conservative widening of candidate-cluster lookups only; membership tests
-# stay exact.
-_PAD = 1e-9
 
 BACKENDS = ("full-mtree", "none", "po-mtree", "dual-mtree")
 QUEUE_FLAVORS = ("none", "heap", "ordered")
@@ -97,12 +97,11 @@ class EventQueue:
 
 
 class _Cluster:
-    __slots__ = ("cid", "center", "members")
+    __slots__ = ("center", "members")
 
-    def __init__(self, cid: int, center, dims: int, metric: str):
-        self.cid = cid
+    def __init__(self, center):
         self.center = tuple(center)
-        self.members = LinearScanIndex(dims, metric)
+        self.members: set = set()   # ids; coordinates live in the indexes
 
 
 def select_neighbor_backend(flavor: str) -> dict:
@@ -141,6 +140,9 @@ class MicroClusterProcessor:
                            else LinearScanIndex(cfg.dims, cfg.metric))
         self.center_index = (MTree(metric=cfg.metric) if plan["center_tree"]
                              else LinearScanIndex(cfg.dims, cfg.metric))
+        # every cluster member; the window tree answers member queries itself
+        self.member_index = (None if plan["window_tree"]
+                             else LinearScanIndex(cfg.dims, cfg.metric))
         self.equeue = EventQueue(queue) if queue != "none" else None
         self._prev_outliers: set = set()
         self.counters = {"range_queries": 0}
@@ -160,12 +162,12 @@ class MicroClusterProcessor:
         return [o for o in self.window_tree.query_payloads(value, radius)
                 if o.mc_id is None]
 
-    def _neighbors_within(self, value, radius, near) -> tuple:
+    def _neighbors_within(self, value, radius) -> tuple:
         """(point, comparison key) pairs of the pool points within radius,
-        and the cluster members within radius; ``near`` lists every cluster
-        whose center lies within ``radius + R/2`` (padded) of ``value``.
+        and the cluster members within radius.
 
-        The window tree answers both from one query, split by ``mc_id``.
+        The window tree answers both from one query, split by ``mc_id``;
+        otherwise one pool query and one member-scan query do.
         """
         self.counters["range_queries"] += 1
         if self.window_tree is not None:
@@ -176,11 +178,8 @@ class MicroClusterProcessor:
                 else:
                     members.append(e[0])
             return pool_hits, members
-        pool_hits = self.pool_index.query_comparable(value, radius)
-        members = []
-        for cid, _ in near:
-            members.extend(self.clusters[cid].members.query_payloads(value, radius))
-        return pool_hits, members
+        return (self.pool_index.query_comparable(value, radius),
+                self.member_index.query_payloads(value, radius))
 
     # -- structure transitions -------------------------------------------------
 
@@ -200,12 +199,14 @@ class MicroClusterProcessor:
         if o.id in self.pool:
             self._pool_remove(o.id)
         o.mc_id = cid
-        self.clusters[cid].members.add(o.id, o.value, payload=o)
+        self.clusters[cid].members.add(o.id)
+        if self.member_index is not None:
+            self.member_index.add(o.id, o.value, payload=o)
 
     def _form_cluster(self, o: StreamObject, close: list) -> None:
         cid = self._next_cid
         self._next_cid += 1
-        cluster = _Cluster(cid, o.value, self.cfg.dims, self.cfg.metric)
+        cluster = _Cluster(o.value)
         self.clusters[cid] = cluster
         self.center_index.add(cid, cluster.center)
         self._join(cid, o)
@@ -225,17 +226,17 @@ class MicroClusterProcessor:
         the unsafe pool points whose counters moved go to ``touched``
         unless it is None.
 
-        One center query at ``R + R/2`` (padded) serves both the join
-        test, through its keys within R/2, and the member search.  The
-        pool query's keys decide the R/2 neighborhood for cluster
+        The center query at R/2 returns the clusters the point may join;
+        it joins the one with the nearest center.  A point that joins none
+        gets its pool and member neighbors from `_neighbors_within`, and
+        the pool query's keys decide the R/2 neighborhood for cluster
         formation; (a-b)**2 == (b-a)**2 in IEEE arithmetic, so this equals
         `within` on every pair.
         """
         cfg = self.cfg
         half = cfg.R / 2
         half_key = key_limit(half, cfg.metric)
-        near = self._centers_within(o.value, cfg.R + half + _PAD)
-        cand = [e for e in near if e[1] <= half_key]
+        cand = self._centers_within(o.value, half)
         if cand:
             best = min(cand, key=lambda e: (e[1], e[0]))
             if update_neighbors:
@@ -243,7 +244,7 @@ class MicroClusterProcessor:
             self._join(best[0], o)
             return False
 
-        pool_hits, members = self._neighbors_within(o.value, cfg.R, near)
+        pool_hits, members = self._neighbors_within(o.value, cfg.R)
         others = [c for c, _ in pool_hits if c is not o]
         if update_neighbors:
             self._count_arrival(others, touched, cfg.k)
@@ -292,6 +293,8 @@ class MicroClusterProcessor:
                 self._alive -= 1
             if o.mc_id is not None:
                 self.clusters[o.mc_id].members.remove(oid)
+                if self.member_index is not None:
+                    self.member_index.remove(oid)
                 shrunk.add(o.mc_id)
             else:
                 self._pool_remove(oid)
@@ -305,9 +308,11 @@ class MicroClusterProcessor:
                 continue
             del self.clusters[cid]
             self.center_index.remove(cid)
-            for oid in cluster.members.ids():
+            for oid in cluster.members:
                 o = self.objs[oid]
                 o.mc_id = None
+                if self.member_index is not None:
+                    self.member_index.remove(oid)
                 self._pool_add(o)
                 dissolved.append(o)
         dissolved.sort(key=lambda o: (o.t, o.id))
@@ -371,7 +376,7 @@ class MicroClusterProcessor:
         half = cfg.R / 2
         member_ids = set()
         for cid, cluster in self.clusters.items():
-            ids = cluster.members.ids()
+            ids = cluster.members
             assert len(ids) >= cfg.k + 1, f"cluster {cid} below k+1 members"
             for oid in ids:
                 o = self.objs[oid]
@@ -383,5 +388,10 @@ class MicroClusterProcessor:
         assert not (member_ids & pool_ids), "pool and clusters overlap"
         assert member_ids | pool_ids == set(self.objs), \
             "clusters plus pool do not cover the active points"
+        for name, index, ids in (("member scan", self.member_index, member_ids),
+                                 ("pool index", self.pool_index, pool_ids)):
+            if index is not None:
+                assert len(index) == len(ids) and all(oid in index for oid in ids), \
+                    f"{name} out of step with its points"
         assert self._alive == sum(1 for o in self.objs.values() if o.flag == 0), \
             "running alive count out of step"

@@ -126,7 +126,9 @@ class TopologyConfig:
     workers: ``"thread"`` (default, cheap) or ``"process"`` (true
     parallelism across cores; each worker process receives every slide's
     batch over its pipe and sends the partition output back).  Reports
-    and counters are identical either way.
+    and counters are identical either way.  ``workers`` sizes the thread
+    pool; the process backend always runs one process per partition, so
+    it rejects ``workers``.
     """
 
     window: WindowConfig
@@ -158,6 +160,9 @@ class TopologyConfig:
             raise ValueError("backend/queue flavors apply to pmcod only")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.workers is not None and self.worker_backend == "process":
+            raise ValueError("workers sizes the thread pool; the process "
+                             "backend runs one process per partition")
 
     @property
     def effective_workers(self) -> int:
@@ -180,9 +185,6 @@ class RunMetrics:
     throughput_obj_s: float = 0.0
     replication_factor: float = 0.0
     outlier_fraction: float = 0.0
-
-    FIELDS = ("n_slides", "warmup", "mean_slide_ms", "median_slide_ms",
-              "throughput_obj_s", "replication_factor", "outlier_fraction")
 
 
 @dataclass

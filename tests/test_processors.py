@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from outstream import (EventQueue, MTree, MicroClusterProcessor, StreamObject,
-                       TopologyConfig, WindowConfig,
+from outstream import (EventQueue, LinearScanIndex, MTree, MicroClusterProcessor,
+                       StreamObject, TopologyConfig, WindowConfig,
                        assign_artificial_timestamps, brute_force_oracle,
                        build_grid, check_against_oracle, count_window_config,
                        grid_route, oracle_slide_analysis, run_topology,
@@ -267,6 +267,25 @@ class TestMicroCluster:
         run_exact(small_stream, 60, 12, 0.5, 3, "pmcod", "grid", 3,
                   flavor_backend="full-mtree")
         assert calls and all(a != b for a, b in zip(calls, calls[1:]))
+
+    def test_unclustered_arrival_makes_one_member_query(self, monkeypatch):
+        cfg, proc = self.make(R=1.0, k=2)
+        proc.process_slide(batch(0, cfg, [
+            sobj(0, 0.0, 0), sobj(1, 0.1, 0), sobj(2, 0.2, 0),
+            sobj(3, 1.6, 0), sobj(4, 1.7, 0), sobj(5, 1.8, 0)]))
+        assert sorted(c.center for c in proc.clusters.values()) == [(0.2,), (1.8,)]
+        calls = []
+        original = LinearScanIndex.query_payloads
+
+        def spy(self, center, radius):
+            calls.append(id(self))
+            return original(self, center, radius)
+
+        monkeypatch.setattr(LinearScanIndex, "query_payloads", spy)
+        # 0.8 from both centres: between R/2 and R, so it joins neither
+        proc.process_slide(batch(1, cfg, [sobj(6, 1.0, 1)]))
+        assert set(proc.pool) == {6}
+        assert len(calls) == 1 and calls[0] == id(proc.member_index)
 
     @pytest.mark.parametrize("queue", ["heap", "ordered"])
     def test_event_queue_neutrality(self, small_stream, queue):

@@ -107,6 +107,11 @@ class TestTopologyConfig:
             TopologyConfig(window=self.cfg(), algorithm="advanced",
                            partitioner="grid", flavor_backend="full-mtree")
 
+    def test_process_backend_rejects_workers(self):
+        with pytest.raises(ValueError, match="one process per partition"):
+            TopologyConfig(window=self.cfg(), algorithm="naive", workers=2,
+                           worker_backend="process")
+
     def test_meta_window_paths(self):
         naive = TopologyConfig(window=self.cfg(), algorithm="naive")
         assert naive.needs_meta_window
